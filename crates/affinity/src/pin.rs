@@ -5,7 +5,7 @@
 //! no-ops so the runtime remains portable (pinning is a performance hint, never a
 //! correctness requirement).
 
-use crate::CpuSet;
+use crate::{CpuSet, MAX_CPUS};
 
 /// Error returned when a pinning request could not be applied.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,13 +43,13 @@ pub fn pin_to_set(set: &CpuSet) -> Result<(), PinError> {
     imp::set_affinity(set)
 }
 
-/// Removes any affinity restriction by allowing all CPUs `0..n` where `n` is the number
-/// of CPUs reported by the OS.
+/// Removes any affinity restriction: asks for every CPU a [`CpuSet`] can name, which
+/// the kernel intersects with the online CPUs (and any cgroup cpuset), so the thread
+/// gets back the full set it may run on.  The set is deliberately not sized from
+/// `available_parallelism()`, which follows the *current* mask and so shrinks to one
+/// CPU after a pin.
 pub fn unpin() -> Result<(), PinError> {
-    let n = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    pin_to_set(&CpuSet::first_n(n.max(1)))
+    pin_to_set(&CpuSet::first_n(MAX_CPUS))
 }
 
 /// Returns the CPU the calling thread is currently executing on, if the platform can
@@ -132,6 +132,24 @@ mod tests {
         // After pinning, the reported CPU must be 0 (it can only be observed on core 0).
         assert_eq!(current_cpu(), Some(0));
         unpin().unwrap();
+    }
+
+    #[test]
+    fn unpin_restores_the_pre_pin_parallelism() {
+        // On its own thread, so the pin never leaks into another test.
+        std::thread::spawn(|| {
+            let before = std::thread::available_parallelism().map(|n| n.get());
+            pin_to_core(0).expect("pinning to core 0 should succeed");
+            unpin().expect("unpinning should succeed");
+            let after = std::thread::available_parallelism().map(|n| n.get());
+            assert_eq!(
+                after.ok(),
+                before.ok(),
+                "unpin must restore the full CPU set"
+            );
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

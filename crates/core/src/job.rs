@@ -2,32 +2,55 @@
 //!
 //! The master sends one *work description* to the workers per parallel loop (step 2 of
 //! the scheduling recipe in §2 of the paper).  In this runtime the description is a
-//! single [`Job`]: a raw pointer to a stack-allocated, fully-typed harness plus the
-//! monomorphised functions that execute a worker's share and (optionally) combine two
-//! per-thread reduction views.  The pointer is published before the release phase of
+//! single [`Job`]: a raw pointer to the loop's [`Harness`] (on the master's stack) plus
+//! the monomorphised functions that execute a participant's share and (optionally)
+//! combine two reduction views.  The pointer is published before the release phase of
 //! the fork half-barrier and the master does not return until the join phase has
 //! completed, so the pointee outlives every access — the same lifetime-erasure argument
-//! scoped thread pools rely on.
+//! scoped thread pools rely on.  Only [`crate::LoopEngine`] builds and runs jobs, so
+//! none of this crosses the crate boundary.
 
+use crate::engine::sealed::Harness;
+use parlo_barrier::Epoch;
 use std::cell::UnsafeCell;
 
 /// A type-erased work descriptor.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Job {
-    /// Pointer to the monomorphised harness (lives on the master's stack for the
-    /// duration of the loop).
+    /// Pointer to the typed harness (lives on the master's stack for the duration of
+    /// the loop).
     data: *const (),
-    /// Executes participant `id`'s share of the loop.
-    execute: unsafe fn(*const (), usize),
+    /// Executes participant `id`'s share of the loop with the given epoch.
+    execute: unsafe fn(*const (), usize, Epoch),
     /// Folds participant `from`'s reduction view into participant `into`'s view.
     /// `None` for loops without a merged reduction.
     combine: Option<unsafe fn(*const (), usize, usize)>,
 }
 
+/// Runs `H::execute` behind an erased pointer.
+///
+/// # Safety
+/// `data` must point to a live `H`, and the contract of `Harness::execute` holds.
+unsafe fn execute_erased<H: Harness>(data: *const (), id: usize, epoch: Epoch) {
+    // SAFETY: `Job::of::<H>` made `data` from an `&H` the caller keeps alive; the
+    // caller upholds the execute contract.
+    unsafe { (*(data as *const H)).execute(id, epoch) }
+}
+
+/// Runs `H::combine` behind an erased pointer.
+///
+/// # Safety
+/// `data` must point to a live `H`, and the contract of `Harness::combine` holds.
+unsafe fn combine_erased<H: Harness>(data: *const (), into: usize, from: usize) {
+    // SAFETY: `Job::of::<H>` made `data` from an `&H` the caller keeps alive; the
+    // caller upholds the combine contract.
+    unsafe { (*(data as *const H)).combine(into, from) }
+}
+
 impl Job {
-    /// A job that does nothing; used as the initial slot value and during shutdown.
+    /// A job that does nothing; used as the initial slot value and for detach cycles.
     pub(crate) fn noop() -> Self {
-        unsafe fn nop(_data: *const (), _id: usize) {}
+        unsafe fn nop(_data: *const (), _id: usize, _epoch: Epoch) {}
         Job {
             data: std::ptr::null(),
             execute: nop,
@@ -35,42 +58,38 @@ impl Job {
         }
     }
 
-    /// Builds a job from a typed harness reference and its monomorphised entry points.
-    ///
-    /// # Safety
-    /// The caller must guarantee that `data` outlives every [`Job::execute`] /
-    /// [`Job::combine`] call, and that `execute`/`combine` treat the pointer as the type
-    /// `data` was created from.
-    pub(crate) unsafe fn new(
-        data: *const (),
-        execute: unsafe fn(*const (), usize),
-        combine: Option<unsafe fn(*const (), usize, usize)>,
-    ) -> Self {
+    /// Erases a typed harness.  Building the job is safe; running it is not, because
+    /// the job does not borrow `harness` (see [`Job::execute`]).
+    pub(crate) fn of<H: Harness>(harness: &H) -> Self {
+        let combine: unsafe fn(*const (), usize, usize) = combine_erased::<H>;
         Job {
-            data,
-            execute,
-            combine,
+            data: harness as *const H as *const (),
+            execute: execute_erased::<H>,
+            combine: harness.combines().then_some(combine),
         }
     }
 
     /// Executes participant `id`'s share.
     ///
     /// # Safety
-    /// The harness pointed to by `data` must still be alive.
+    /// The harness the job was built from must still be alive, and the contract of
+    /// `Harness::execute` holds.
     #[inline]
-    pub(crate) unsafe fn execute(&self, id: usize) {
-        (self.execute)(self.data, id)
+    pub(crate) unsafe fn execute(&self, id: usize, epoch: Epoch) {
+        // SAFETY: forwarded from the caller.
+        unsafe { (self.execute)(self.data, id, epoch) }
     }
 
     /// Folds view `from` into view `into`, if this job carries a combine function.
     ///
     /// # Safety
-    /// The harness pointed to by `data` must still be alive, `from` must have finished
-    /// writing its view, and no other thread may access either view concurrently.
+    /// The harness the job was built from must still be alive, and the contract of
+    /// `Harness::combine` holds.
     #[inline]
     pub(crate) unsafe fn combine(&self, into: usize, from: usize) {
         if let Some(f) = self.combine {
-            (f)(self.data, into, from)
+            // SAFETY: forwarded from the caller.
+            unsafe { f(self.data, into, from) }
         }
     }
 
@@ -80,17 +99,17 @@ impl Job {
     }
 }
 
-/// The single shared job slot of a pool.  It is written by the master strictly before
-/// the release phase of the fork half-barrier and read by workers strictly after they
-/// observe that release, so the release/acquire pair on the barrier flag orders all
-/// accesses; no additional synchronization is needed on the slot itself.
+/// The single shared job slot of an engine.  It is written by the master strictly
+/// before the release phase of the fork half-barrier and read by workers strictly
+/// after they observe that release, so the release/acquire pair on the barrier flag
+/// orders all accesses; no additional synchronization is needed on the slot itself.
 #[derive(Debug)]
 pub(crate) struct JobSlot {
     cell: UnsafeCell<Job>,
 }
 
 // SAFETY: see the ordering argument above — the slot is only accessed under the
-// happens-before edges established by the pool's fork/join barrier phases.
+// happens-before edges established by the engine's fork/join barrier phases.
 unsafe impl Sync for JobSlot {}
 // SAFETY: same barrier-ordering argument as Sync above.
 unsafe impl Send for JobSlot {}
@@ -109,7 +128,8 @@ impl JobSlot {
     /// job (i.e. between a completed join phase and the next fork release).
     #[inline]
     pub(crate) unsafe fn publish(&self, job: Job) {
-        *self.cell.get() = job;
+        // SAFETY: the caller guarantees no concurrent reader (see above).
+        unsafe { *self.cell.get() = job };
     }
 
     /// Worker side: read the current job. Must happen after observing the fork release.
@@ -118,7 +138,8 @@ impl JobSlot {
     /// Only valid between a fork release and the corresponding join completion.
     #[inline]
     pub(crate) unsafe fn read(&self) -> Job {
-        *self.cell.get()
+        // SAFETY: the caller guarantees the publish happened-before this read.
+        unsafe { *self.cell.get() }
     }
 }
 
@@ -133,59 +154,59 @@ mod tests {
         assert!(!j.has_combine());
         // SAFETY: a noop job dereferences nothing.
         unsafe {
-            j.execute(0);
-            j.execute(7);
+            j.execute(0, 1);
+            j.execute(7, 1);
             j.combine(0, 1);
         }
     }
 
     #[test]
     fn job_dispatches_to_harness() {
-        struct Harness {
+        struct Counting {
             hits: AtomicUsize,
             combines: AtomicUsize,
         }
-        unsafe fn exec(data: *const (), _id: usize) {
-            // SAFETY: the caller passes a pointer to a live Harness.
-            let h = unsafe { &*(data as *const Harness) };
-            h.hits.fetch_add(1, Ordering::Relaxed);
+        impl Harness for Counting {
+            fn combines(&self) -> bool {
+                true
+            }
+            unsafe fn execute(&self, id: usize, epoch: Epoch) {
+                self.hits.fetch_add(id + epoch as usize, Ordering::Relaxed);
+            }
+            unsafe fn combine(&self, _into: usize, _from: usize) {
+                self.combines.fetch_add(1, Ordering::Relaxed);
+            }
         }
-        unsafe fn comb(data: *const (), _into: usize, _from: usize) {
-            // SAFETY: the caller passes a pointer to a live Harness.
-            let h = unsafe { &*(data as *const Harness) };
-            h.combines.fetch_add(1, Ordering::Relaxed);
-        }
-        let h = Harness {
+        let h = Counting {
             hits: AtomicUsize::new(0),
             combines: AtomicUsize::new(0),
         };
-        // SAFETY: `h` outlives the job and the hook signatures match.
-        let job = unsafe { Job::new(&h as *const Harness as *const (), exec, Some(comb)) };
+        let job = Job::of(&h);
         assert!(job.has_combine());
+        assert!(!Job::of(&|_: usize, _: Epoch| {}).has_combine());
         // SAFETY: `h` is still alive; this test is single-threaded.
         unsafe {
-            job.execute(0);
-            job.execute(1);
+            job.execute(0, 10);
+            job.execute(1, 10);
             job.combine(0, 1);
         }
-        assert_eq!(h.hits.load(Ordering::Relaxed), 2);
+        assert_eq!(h.hits.load(Ordering::Relaxed), 21);
         assert_eq!(h.combines.load(Ordering::Relaxed), 1);
     }
 
     #[test]
     fn slot_roundtrip() {
-        static HITS: AtomicUsize = AtomicUsize::new(0);
-        unsafe fn exec(_data: *const (), id: usize) {
-            HITS.fetch_add(id + 1, Ordering::Relaxed);
-        }
+        let hits = AtomicUsize::new(0);
+        let harness = |id: usize, _: Epoch| {
+            hits.fetch_add(id + 1, Ordering::Relaxed);
+        };
         let slot = JobSlot::new();
-        // SAFETY: `exec` never dereferences its data pointer.
-        let job = unsafe { Job::new(std::ptr::null(), exec, None) };
-        // SAFETY: single-threaded publish/read — no concurrent worker.
+        // SAFETY: single-threaded publish/read — no concurrent worker; `harness`
+        // outlives the job.
         unsafe {
-            slot.publish(job);
-            slot.read().execute(4);
+            slot.publish(Job::of(&harness));
+            slot.read().execute(4, 1);
         }
-        assert_eq!(HITS.load(Ordering::Relaxed), 5);
+        assert_eq!(hits.load(Ordering::Relaxed), 5);
     }
 }

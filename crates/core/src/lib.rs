@@ -27,8 +27,14 @@
 //!
 //! ## Structure
 //!
-//! * [`FineGrainPool`] — the persistent worker pool; one master thread plus `P − 1`
-//!   workers that wait on the fork half-barrier between loops.
+//! * [`LoopEngine`] — the half-barrier loop engine: job slot, epochs, detach cycle,
+//!   lease registration, master pinning and the loop/phase/combine counters.  It runs
+//!   one typed [`Harness`] per loop (any `Fn(id, epoch)` closure, or [`Merged`] for a
+//!   reduction folded pairwise over padded [`Views`] inside the join phase).  Both
+//!   the fine-grain pool and `parlo-steal`'s stealing pool are an engine plus their
+//!   own harnesses.
+//! * [`FineGrainPool`] — the engine plus the fine-grain harnesses: one master thread
+//!   plus `P − 1` workers that wait on the fork half-barrier between loops.
 //! * [`Config`] / [`BarrierKind`] — selects the synchronization structure: the paper's
 //!   *fine-grain tree* (default), *fine-grain centralized*, or the *full-barrier*
 //!   variants used as ablations in Table 1.
@@ -48,14 +54,17 @@
 //!   (deriving `since`/`merged` and a flattened sample view) and any set of live
 //!   families can be rendered as one text metrics page.
 //!
-//! Building with `--features stats-off` compiles the pool's counters down to nothing:
-//! every `record_*` call becomes an empty inline function and [`StatsSnapshot`] /
-//! [`SyncStats`] read as all-zero.  Results are unaffected — only the accounting
-//! disappears.
+//! Building with `--features stats-off` compiles the engine's counters down to
+//! nothing: every `record_*` call becomes an empty inline function and
+//! [`StatsSnapshot`] / [`SyncStats`] read as all-zero.  Because the stealing pool runs
+//! on the same engine, its loop/reduction/phase/combine counters compile to zero too
+//! (its steal and sticky-affinity counters are its own and stay live).  Results are
+//! unaffected — only the accounting disappears.
 
 #![warn(missing_docs)]
 
 mod config;
+mod engine;
 mod job;
 mod loops;
 mod pool;
@@ -66,12 +75,14 @@ mod source;
 mod stats;
 
 pub use config::{BarrierKind, Config, ConfigBuilder};
+pub use engine::{Harness, LoopEngine};
 pub use pool::{FineGrainPool, WorkerInfo};
 pub use range::{static_block, static_chunks, DynamicChunks, GuidedChunks, StaticSchedule};
+pub use reduce::{Merged, Views};
 pub use runtime::{LoopRuntime, Sequential, SyncStats};
 pub use source::{CounterField, StatsRegistry, StatsSource};
 pub use stats::StatsSnapshot;
 
 // Re-export the pieces callers commonly need to configure a pool.
 pub use parlo_affinity::{PinPolicy, PlacementConfig, Topology, TopologySource};
-pub use parlo_barrier::{HierarchyStats, WaitMode, WaitPolicy};
+pub use parlo_barrier::{Epoch, HierarchyStats, WaitMode, WaitPolicy};

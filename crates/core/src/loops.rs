@@ -8,92 +8,9 @@
 //! to the static loop is exactly the per-chunk atomic traffic, mirroring the
 //! OpenMP-static vs OpenMP-dynamic comparison of Table 1.
 
-use crate::job::Job;
 use crate::pool::{FineGrainPool, WorkerInfo};
 use crate::range::{static_block, static_chunks, DynamicChunks};
-use crate::stats::PoolStats;
 use std::ops::Range;
-
-/// Harness for [`FineGrainPool::broadcast`].
-struct BroadcastHarness<'a, F> {
-    body: &'a F,
-    nthreads: usize,
-}
-
-unsafe fn exec_broadcast<F: Fn(WorkerInfo) + Sync>(data: *const (), id: usize) {
-    // SAFETY: the caller passes a pointer to a live harness (the master's
-    // stack frame keeps it alive until the loop's join phase completes).
-    let h = unsafe { &*(data as *const BroadcastHarness<'_, F>) };
-    (h.body)(WorkerInfo {
-        id,
-        num_threads: h.nthreads,
-    });
-}
-
-/// Harness for [`FineGrainPool::parallel_for`] and
-/// [`FineGrainPool::parallel_for_blocks`].
-struct ForHarness<'a, F> {
-    body: &'a F,
-    range: Range<usize>,
-    nthreads: usize,
-}
-
-unsafe fn exec_for<F: Fn(usize) + Sync>(data: *const (), id: usize) {
-    // SAFETY: the caller passes a pointer to a live harness (the master's
-    // stack frame keeps it alive until the loop's join phase completes).
-    let h = unsafe { &*(data as *const ForHarness<'_, F>) };
-    for i in static_block(&h.range, h.nthreads, id) {
-        (h.body)(i);
-    }
-}
-
-unsafe fn exec_for_block<F: Fn(Range<usize>) + Sync>(data: *const (), id: usize) {
-    // SAFETY: the caller passes a pointer to a live harness (the master's
-    // stack frame keeps it alive until the loop's join phase completes).
-    let h = unsafe { &*(data as *const ForHarness<'_, F>) };
-    let block = static_block(&h.range, h.nthreads, id);
-    if !block.is_empty() {
-        (h.body)(block);
-    }
-}
-
-/// Harness for [`FineGrainPool::parallel_for_chunked`].
-struct ChunkedHarness<'a, F> {
-    body: &'a F,
-    range: Range<usize>,
-    nthreads: usize,
-    chunk: usize,
-}
-
-unsafe fn exec_for_chunked<F: Fn(usize) + Sync>(data: *const (), id: usize) {
-    // SAFETY: the caller passes a pointer to a live harness (the master's
-    // stack frame keeps it alive until the loop's join phase completes).
-    let h = unsafe { &*(data as *const ChunkedHarness<'_, F>) };
-    for chunk in static_chunks(&h.range, h.nthreads, id, h.chunk) {
-        for i in chunk {
-            (h.body)(i);
-        }
-    }
-}
-
-/// Harness for [`FineGrainPool::parallel_for_dynamic`].
-struct DynamicHarness<'a, F> {
-    body: &'a F,
-    chunks: DynamicChunks,
-    stats: &'a PoolStats,
-}
-
-unsafe fn exec_for_dynamic<F: Fn(usize) + Sync>(data: *const (), _id: usize) {
-    // SAFETY: the caller passes a pointer to a live harness (the master's
-    // stack frame keeps it alive until the loop's join phase completes).
-    let h = unsafe { &*(data as *const DynamicHarness<'_, F>) };
-    while let Some(chunk) = h.chunks.next_chunk() {
-        h.stats.record_dynamic_chunk();
-        for i in chunk {
-            (h.body)(i);
-        }
-    }
-}
 
 impl FineGrainPool {
     /// Runs `body` once on every participant of the pool (an SPMD region).  This is the
@@ -102,20 +19,9 @@ impl FineGrainPool {
     where
         F: Fn(WorkerInfo) + Sync,
     {
-        let harness = BroadcastHarness {
-            body: &body,
-            nthreads: self.num_threads(),
-        };
-        self.shared().stats.record_loop(self.phases_per_loop());
-        // SAFETY: `harness` lives until `run_job` returns, and `exec_broadcast::<F>`
-        // reinterprets the pointer as exactly `BroadcastHarness<'_, F>`.
-        unsafe {
-            self.run_job(Job::new(
-                &harness as *const _ as *const (),
-                exec_broadcast::<F>,
-                None,
-            ));
-        }
+        let num_threads = self.num_threads();
+        self.engine
+            .run(|id, _| body(WorkerInfo { id, num_threads }));
     }
 
     /// Statically scheduled parallel loop over `range`: each participant executes one
@@ -128,23 +34,7 @@ impl FineGrainPool {
     where
         F: Fn(usize) + Sync,
     {
-        if range.is_empty() {
-            return;
-        }
-        let harness = ForHarness {
-            body: &body,
-            range,
-            nthreads: self.num_threads(),
-        };
-        self.shared().stats.record_loop(self.phases_per_loop());
-        // SAFETY: as in `broadcast`.
-        unsafe {
-            self.run_job(Job::new(
-                &harness as *const _ as *const (),
-                exec_for::<F>,
-                None,
-            ));
-        }
+        self.static_for(range, body);
     }
 
     /// Statically scheduled parallel loop that hands each participant its whole
@@ -157,20 +47,13 @@ impl FineGrainPool {
         if range.is_empty() {
             return;
         }
-        let harness = ForHarness {
-            body: &body,
-            range,
-            nthreads: self.num_threads(),
-        };
-        self.shared().stats.record_loop(self.phases_per_loop());
-        // SAFETY: as in `broadcast`.
-        unsafe {
-            self.run_job(Job::new(
-                &harness as *const _ as *const (),
-                exec_for_block::<F>,
-                None,
-            ));
-        }
+        let n = self.num_threads();
+        self.engine.run(|id, _| {
+            let block = static_block(&range, n, id);
+            if !block.is_empty() {
+                body(block);
+            }
+        });
     }
 
     /// [`FineGrainPool::parallel_for`] through `&self`, bypassing the `&mut`
@@ -187,23 +70,20 @@ impl FineGrainPool {
     where
         F: Fn(usize) + Sync,
     {
+        self.static_for(range, body);
+    }
+
+    /// The static-block loop behind [`FineGrainPool::parallel_for`].
+    fn static_for<F>(&self, range: Range<usize>, body: F)
+    where
+        F: Fn(usize) + Sync,
+    {
         if range.is_empty() {
             return;
         }
-        let harness = ForHarness {
-            body: &body,
-            range,
-            nthreads: self.num_threads(),
-        };
-        self.shared().stats.record_loop(self.phases_per_loop());
-        // SAFETY: as in `broadcast`; single-driver coordination is the caller's.
-        unsafe {
-            self.run_job(Job::new(
-                &harness as *const _ as *const (),
-                exec_for::<F>,
-                None,
-            ));
-        }
+        let n = self.num_threads();
+        self.engine
+            .run(|id, _| static_block(&range, n, id).for_each(&body));
     }
 
     /// Block-cyclic statically scheduled loop: chunks of `chunk` iterations are dealt to
@@ -215,21 +95,12 @@ impl FineGrainPool {
         if range.is_empty() {
             return;
         }
-        let harness = ChunkedHarness {
-            body: &body,
-            range,
-            nthreads: self.num_threads(),
-            chunk: chunk.max(1),
-        };
-        self.shared().stats.record_loop(self.phases_per_loop());
-        // SAFETY: as in `broadcast`.
-        unsafe {
-            self.run_job(Job::new(
-                &harness as *const _ as *const (),
-                exec_for_chunked::<F>,
-                None,
-            ));
-        }
+        let (n, chunk) = (self.num_threads(), chunk.max(1));
+        self.engine.run(|id, _| {
+            for c in static_chunks(&range, n, id, chunk) {
+                c.for_each(&body);
+            }
+        });
     }
 
     /// Dynamically scheduled loop: participants repeatedly grab chunks of `chunk`
@@ -242,20 +113,14 @@ impl FineGrainPool {
         if range.is_empty() {
             return;
         }
-        let harness = DynamicHarness {
-            body: &body,
-            chunks: DynamicChunks::new(range, chunk),
-            stats: &self.shared().stats,
-        };
-        self.shared().stats.record_loop(self.phases_per_loop());
-        // SAFETY: as in `broadcast`.
-        unsafe {
-            self.run_job(Job::new(
-                &harness as *const _ as *const (),
-                exec_for_dynamic::<F>,
-                None,
-            ));
-        }
+        let chunks = DynamicChunks::new(range, chunk);
+        let stats = self.engine.counters();
+        self.engine.run(|_, _| {
+            while let Some(chunk) = chunks.next_chunk() {
+                stats.record_dynamic_chunk();
+                chunk.for_each(&body);
+            }
+        });
     }
 }
 

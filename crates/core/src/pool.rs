@@ -1,28 +1,18 @@
 //! The persistent fine-grain worker pool.
 //!
-//! A [`FineGrainPool`] owns `P − 1` worker threads bound to one master (the thread that
-//! created the pool and calls the loop methods).  Per parallel loop the pool executes
-//! exactly the synchronization the paper's half-barrier pattern prescribes:
-//!
-//! 1. the master publishes the work description ([`crate::job::Job`]) and performs the
-//!    **release phase** of the fork barrier — it never waits at the fork point;
-//! 2. every thread (master included) executes its statically assigned share;
-//! 3. every worker performs the **join phase** of the completion barrier, folding
-//!    reduction views pairwise on the way up the tree; the master waits for its join
-//!    children and returns — no release phase follows, nobody acknowledges the workers.
-//!
-//! Configured with [`BarrierKind::TreeFull`] / [`BarrierKind::CentralizedFull`], the same
-//! pool runs both phases at both ends (two full barriers per loop), which is the
-//! baseline structure of conventional runtimes and the "with full-barrier" row of
-//! Table 1.
+//! A [`FineGrainPool`] is a [`LoopEngine`] plus the fine-grain harnesses: static
+//! blocks, block-cyclic chunks, a shared dynamic dispenser and merged reductions (see
+//! the `loops` and `reduce` modules).  Per parallel loop it executes exactly the
+//! synchronization the paper's half-barrier pattern prescribes — one release phase
+//! at the fork, one join phase at the end, reductions folded into the join — or, with
+//! [`BarrierKind::TreeFull`](crate::BarrierKind::TreeFull) /
+//! [`BarrierKind::CentralizedFull`](crate::BarrierKind::CentralizedFull), two full
+//! barriers per loop (the "with full-barrier" row of Table 1).
 
-use crate::config::{BarrierKind, Config};
-use crate::job::{Job, JobSlot};
-use crate::stats::{PoolStats, StatsSnapshot};
-use crossbeam::utils::CachePadded;
-use parlo_barrier::{Epoch, FullBarrier, HalfBarrier, TreeShape, WaitPolicy};
-use parlo_exec::{ClientHooks, Executor, Lease};
-use parlo_sync::{AtomicBool, AtomicU64, Ordering};
+use crate::config::Config;
+use crate::engine::LoopEngine;
+use crate::stats::StatsSnapshot;
+use parlo_exec::Executor;
 use std::sync::Arc;
 
 /// Identity of a participant inside a parallel region.
@@ -34,151 +24,6 @@ pub struct WorkerInfo {
     pub num_threads: usize,
 }
 
-/// The synchronization engine of the pool: either the paper's half-barrier or a
-/// conventional pair of full barriers, in tree or centralized flavor.
-#[derive(Debug)]
-enum SyncImpl {
-    Half(HalfBarrier),
-    Full(FullBarrier),
-}
-
-impl SyncImpl {
-    fn build(config: &Config) -> Self {
-        let n = config.num_threads;
-        let shape = || TreeShape::topology_aware(&config.topology, n, config.effective_fanin());
-        match config.barrier {
-            // The tree half-barrier composes per socket when the placement asks for it:
-            // socket-local arrival trees, one cross-socket rendezvous, socket-local
-            // release fan-out.
-            BarrierKind::TreeHalf if config.hierarchical => SyncImpl::Half(
-                HalfBarrier::new_hierarchical(&config.topology, n, config.effective_fanin()),
-            ),
-            BarrierKind::TreeHalf => SyncImpl::Half(HalfBarrier::new_tree(shape())),
-            BarrierKind::CentralizedHalf => SyncImpl::Half(HalfBarrier::new_centralized(n)),
-            BarrierKind::TreeFull => SyncImpl::Full(FullBarrier::new_tree(shape())),
-            BarrierKind::CentralizedFull => SyncImpl::Full(FullBarrier::new_centralized(n)),
-        }
-    }
-
-    fn hierarchy_stats(&self) -> Option<parlo_barrier::HierarchyStats> {
-        match self {
-            SyncImpl::Half(hb) => hb.hierarchy_stats(),
-            SyncImpl::Full(_) => None,
-        }
-    }
-
-    /// Barrier phases executed per loop (a release or a join phase each count as one).
-    fn phases_per_loop(&self) -> u64 {
-        match self {
-            SyncImpl::Half(_) => 2,
-            SyncImpl::Full(_) => 4,
-        }
-    }
-
-    /// Master side of the fork point for loop `epoch`.
-    #[inline]
-    fn master_fork(&self, epoch: Epoch, policy: &WaitPolicy) {
-        match self {
-            // Release phase only: the master never waits at the fork.
-            SyncImpl::Half(hb) => hb.release(epoch),
-            // Conventional fork barrier: wait for every worker to have checked in, then
-            // release them all.
-            SyncImpl::Full(fb) => fb.master_wait(2 * epoch - 1, policy),
-        }
-    }
-
-    /// Worker side of the fork point for loop `epoch`.
-    #[inline]
-    fn worker_fork(&self, id: usize, epoch: Epoch, policy: &WaitPolicy) {
-        match self {
-            SyncImpl::Half(hb) => hb.wait_release(id, epoch, policy),
-            SyncImpl::Full(fb) => fb.worker_wait(id, 2 * epoch - 1, policy),
-        }
-    }
-
-    /// Master side of the completion point for loop `epoch`.
-    #[inline]
-    fn master_join<F: FnMut(usize)>(&self, epoch: Epoch, policy: &WaitPolicy, on_child: F) {
-        match self {
-            // Join phase only: collect arrivals (and reductions); no acknowledgement.
-            SyncImpl::Half(hb) => hb.join(epoch, policy, on_child),
-            // Conventional join barrier: collect arrivals, then release everybody again.
-            SyncImpl::Full(fb) => fb.master_wait_combine(2 * epoch, policy, on_child),
-        }
-    }
-
-    /// Worker side of the completion point for loop `epoch`.
-    #[inline]
-    fn worker_join<F: FnMut(usize)>(
-        &self,
-        id: usize,
-        epoch: Epoch,
-        policy: &WaitPolicy,
-        on_child: F,
-    ) {
-        match self {
-            SyncImpl::Half(hb) => hb.arrive(id, epoch, policy, on_child),
-            SyncImpl::Full(fb) => fb.worker_wait_combine(id, 2 * epoch, policy, on_child),
-        }
-    }
-}
-
-/// State shared between the master and the (leased) workers.
-#[derive(Debug)]
-pub(crate) struct PoolShared {
-    nthreads: usize,
-    sync: SyncImpl,
-    slot: JobSlot,
-    /// Asks the leased workers to exit [`worker_body`] and park back in the substrate
-    /// (reset by the master before re-activating its lease).
-    detach: AtomicBool,
-    /// The master's loop epoch (mutated only by the driving thread; an atomic so the
-    /// detach hook — a closure held by the substrate — can advance it too).
-    epoch: AtomicU64,
-    /// Where each worker's scheduling loop resumes after a detach/re-attach cycle.
-    worker_epochs: Vec<CachePadded<AtomicU64>>,
-    /// Set while a loop (or the detach cycle) is in flight.  Loop entry and the
-    /// detach hook both claim it with a `swap`, so a racing second driver — or a
-    /// lease revocation overlapping a loop — panics deterministically on whichever
-    /// side comes second, instead of corrupting the hand-off.  One atomic RMW per
-    /// loop, same hot-path cost as the plain store it replaces.
-    in_loop: AtomicBool,
-    policy: WaitPolicy,
-    pub(crate) stats: PoolStats,
-    config: Config,
-}
-
-impl PoolShared {
-    /// Advances and returns the master-side epoch.
-    fn next_epoch(&self) -> Epoch {
-        let epoch = self.epoch.load(Ordering::Relaxed) + 1;
-        self.epoch.store(epoch, Ordering::Relaxed);
-        epoch
-    }
-}
-
-/// Drives one no-op loop cycle that every attached worker answers by exiting
-/// [`worker_body`]: the detach hook the pool registers with the substrate.  The cycle
-/// is symmetric (the workers arrive at the join before parking) so cumulative-arrival
-/// synchronization stays aligned across detach/re-attach.
-fn detach_workers(shared: &PoolShared) {
-    assert!(
-        !shared.in_loop.swap(true, Ordering::Relaxed),
-        "fine-grain pool lease revoked while a loop is in flight; concurrent drivers \
-         of one pool must coordinate (see the parlo-exec multi-driver contract)"
-    );
-    shared.detach.store(true, Ordering::Release);
-    let epoch = shared.next_epoch();
-    parlo_trace::span_begin(parlo_trace::Phase::DetachCycle, epoch, 0);
-    // SAFETY: no loop is in flight (the swap above claimed the pool), so no worker
-    // reads the slot concurrently.
-    unsafe { shared.slot.publish(Job::noop()) };
-    shared.sync.master_fork(epoch, &shared.policy);
-    shared.sync.master_join(epoch, &shared.policy, |_| {});
-    parlo_trace::span_end(parlo_trace::Phase::DetachCycle);
-    shared.in_loop.store(false, Ordering::Relaxed);
-}
-
 /// The fine-grain parallel loop scheduler of the paper: a persistent worker pool whose
 /// loops are synchronized with a single half-barrier.
 ///
@@ -187,10 +32,7 @@ fn detach_workers(shared: &PoolShared) {
 /// dropped phases redundant.
 #[derive(Debug)]
 pub struct FineGrainPool {
-    shared: Arc<PoolShared>,
-    /// The pool's claim on the shared worker substrate; dropping it detaches the
-    /// workers (which the substrate owns — the pool spawns no threads itself).
-    lease: Lease,
+    pub(crate) engine: LoopEngine,
 }
 
 impl FineGrainPool {
@@ -247,183 +89,55 @@ impl FineGrainPool {
     /// constructed on a control thread and *driven* by a substrate worker that is
     /// already pinned.
     pub fn new_on_partition(config: Config, executor: &Arc<Executor>, workers: &[usize]) -> Self {
-        assert_eq!(
-            config.num_threads,
-            workers.len() + 1,
-            "a partition pool has one thread per leased worker plus its master"
-        );
         Self::build(config, executor, Some(workers))
     }
 
     fn build(config: Config, executor: &Arc<Executor>, partition: Option<&[usize]>) -> Self {
-        let nthreads = config.num_threads.max(1);
-        let shared = Arc::new(PoolShared {
-            nthreads,
-            sync: SyncImpl::build(&config),
-            slot: JobSlot::new(),
-            detach: AtomicBool::new(false),
-            epoch: AtomicU64::new(0),
-            worker_epochs: (0..nthreads)
-                .map(|_| CachePadded::new(AtomicU64::new(0)))
-                .collect(),
-            in_loop: AtomicBool::new(false),
-            policy: config.wait,
-            stats: PoolStats::new(),
-            config: config.clone(),
-        });
-        if partition.is_none() {
-            // Pin the master according to the policy (worker index 0).
-            if let Some(core) = config.topology.core_for_worker(0, config.pin) {
-                let _ = parlo_affinity::pin_to_core(core);
-            }
+        let name = format!("fine-grain ({})", config.barrier.label());
+        FineGrainPool {
+            engine: LoopEngine::new(name, config, executor, partition),
         }
-        let body = {
-            let shared = shared.clone();
-            Arc::new(move |id: usize| worker_body(&shared, id))
-        };
-        let detach = {
-            let shared = shared.clone();
-            Arc::new(move || detach_workers(&shared))
-        };
-        let hooks = ClientHooks {
-            name: format!("fine-grain ({})", config.barrier.label()),
-            participants: nthreads,
-            body,
-            detach,
-        };
-        let lease = match partition {
-            None => executor.register(hooks),
-            Some(workers) => executor.register_partition(hooks, workers.to_vec()),
-        };
-        FineGrainPool { shared, lease }
-    }
-
-    /// Makes sure the pool's lease on the substrate workers is active (re-acquiring
-    /// it if another runtime ran in between).  Costs one atomic load when the lease is
-    /// already held — the common case.
-    fn ensure_workers(&self) {
-        if self.shared.nthreads <= 1 {
-            return;
-        }
-        self.lease
-            .ensure_active(|| self.shared.detach.store(false, Ordering::Relaxed));
     }
 
     /// The substrate this pool leases its workers from.
     pub fn executor(&self) -> &Arc<Executor> {
-        self.lease.executor()
+        self.engine.executor()
     }
 
     /// Number of threads in the pool (master included).
     pub fn num_threads(&self) -> usize {
-        self.shared.nthreads
+        self.engine.num_threads()
     }
 
     /// The configuration the pool was built with.
     pub fn config(&self) -> &Config {
-        &self.shared.config
+        self.engine.config()
     }
 
     /// A snapshot of the pool's instrumentation counters.
     pub fn stats(&self) -> StatsSnapshot {
-        self.shared.stats.snapshot()
+        self.engine.stats()
     }
 
     /// Barrier phases the pool executes per loop (2 for half-barrier configurations,
     /// 4 for full-barrier configurations).
     pub fn phases_per_loop(&self) -> u64 {
-        self.shared.sync.phases_per_loop()
+        self.engine.phases_per_loop()
     }
 
     /// Instrumentation counters of the hierarchical half-barrier (per-socket arrival
     /// counts, cross-socket rendezvous per cycle), or `None` when the pool uses a flat
     /// synchronization structure.
     pub fn hierarchy_stats(&self) -> Option<parlo_barrier::HierarchyStats> {
-        self.shared.sync.hierarchy_stats()
-    }
-
-    pub(crate) fn shared(&self) -> &PoolShared {
-        &self.shared
-    }
-
-    /// Runs one type-erased job on all threads of the pool.
-    ///
-    /// # Safety
-    /// The harness behind `job` must stay alive until this call returns, and the job's
-    /// entry points must be safe to call concurrently from all participants.
-    pub(crate) unsafe fn run_job(&self, job: Job) {
-        let shared = &*self.shared;
-        // Claim the pool before touching any loop state: a second driver racing this
-        // entry sees `true` from its own swap and panics deterministically, before
-        // either side can corrupt the epoch counter or the job slot.
-        assert!(
-            !shared.in_loop.swap(true, Ordering::Relaxed),
-            "fine-grain pool driven by two threads at once: a pool serves exactly one \
-             master thread (see the parlo-exec multi-driver contract)"
-        );
-        self.ensure_workers();
-        let epoch = shared.next_epoch();
-        parlo_trace::span_begin(parlo_trace::Phase::Loop, epoch, shared.nthreads as u64);
-        let has_combine = job.has_combine();
-        // Publish the work description, then perform the fork-side synchronization.
-        // SAFETY: the previous loop's join phase has completed (run_job is not
-        // reentrant: the swap above claimed the pool), so no worker reads the slot.
-        unsafe { shared.slot.publish(job) };
-        shared.sync.master_fork(epoch, &shared.policy);
-        // SAFETY: the master executes its own share like any other participant; the
-        // harness behind `job` lives on this stack frame until the join completes.
-        unsafe { job.execute(0) };
-        // Completion-side synchronization: collect arrivals, folding reduction views.
-        shared.sync.master_join(epoch, &shared.policy, |from| {
-            if has_combine {
-                shared.stats.record_combine();
-                parlo_trace::instant(parlo_trace::Phase::Combine, from as u64, 0);
-                // SAFETY: `from` has arrived, so its view is complete and no longer
-                // accessed by its owner; only the master touches it from here on.
-                unsafe { job.combine(0, from) };
-            }
-        });
-        parlo_trace::span_end(parlo_trace::Phase::Loop);
-        shared.in_loop.store(false, Ordering::Relaxed);
-    }
-}
-
-/// One leased worker's scheduling loop: resumes at the epoch stored on its last
-/// detach, serves loop after loop, and parks back in the substrate when the pool's
-/// detach hook fires (completing the detach cycle's join phase first so the epoch
-/// accounting stays aligned across re-attachment).
-fn worker_body(shared: &PoolShared, id: usize) {
-    let mut epoch: Epoch = shared.worker_epochs[id].load(Ordering::Relaxed);
-    loop {
-        epoch += 1;
-        shared.sync.worker_fork(id, epoch, &shared.policy);
-        if shared.detach.load(Ordering::Acquire) {
-            shared.sync.worker_join(id, epoch, &shared.policy, |_| {});
-            shared.worker_epochs[id].store(epoch, Ordering::Relaxed);
-            return;
-        }
-        // SAFETY: the fork release established a happens-before edge with the master's
-        // publish of the job for this epoch.
-        let job = unsafe { shared.slot.read() };
-        // SAFETY: the master keeps the harness alive until its join phase completes,
-        // which cannot happen before this worker arrives below.
-        unsafe { job.execute(id) };
-        let has_combine = job.has_combine();
-        shared.sync.worker_join(id, epoch, &shared.policy, |from| {
-            if has_combine {
-                shared.stats.record_combine();
-                parlo_trace::instant(parlo_trace::Phase::Combine, from as u64, 0);
-                // SAFETY: `from` has arrived; see `run_job`.
-                unsafe { job.combine(id, from) };
-            }
-        });
+        self.engine.hierarchy_stats()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parlo_sync::AtomicUsize;
+    use crate::config::BarrierKind;
+    use parlo_sync::{AtomicUsize, Ordering};
 
     fn pool(kind: BarrierKind, threads: usize) -> FineGrainPool {
         FineGrainPool::new(Config::builder(threads).barrier(kind).build())

@@ -19,87 +19,122 @@
 //! correct by folding the views in thread order at the master after the join phase
 //! (still `P − 1` combines, but all executed by the master).
 
-use crate::job::Job;
+use crate::engine::sealed;
 use crate::pool::FineGrainPool;
 use crate::range::static_block;
 use crossbeam::utils::CachePadded;
+use parlo_barrier::Epoch;
 use std::cell::UnsafeCell;
 use std::ops::Range;
 
-/// One per-participant reduction view, padded to its own cache line so that the
-/// statically allocated view array does not false-share.
-struct ViewSlot<T>(CachePadded<UnsafeCell<Option<T>>>);
+/// Per-participant reduction views, allocated statically at the start of a loop: one
+/// cache-line-padded slot per participant, so the view array does not false-share.
+///
+/// Outside a loop the views are plain owned values ([`Views::take`] needs `&mut`).
+/// During a loop only a [`Merged`] harness reaches them, and the engine's protocol
+/// makes every access exclusive: a participant touches only its own view until it
+/// arrives at the join, and only its join parent touches it afterwards — so access
+/// needs no synchronization of its own.
+pub struct Views<T> {
+    slots: Box<[CachePadded<UnsafeCell<Option<T>>>]>,
+}
 
-impl<T> ViewSlot<T> {
-    fn empty() -> Self {
-        ViewSlot(CachePadded::new(UnsafeCell::new(None)))
+impl<T> Views<T> {
+    /// `n` empty views.
+    pub fn new(n: usize) -> Self {
+        Self::from_values((0..n).map(|_| None))
+    }
+
+    /// `n` views, each seeded with a fresh `init()` (called on the calling thread).
+    pub fn seeded(n: usize, mut init: impl FnMut() -> T) -> Self {
+        Self::from_values((0..n).map(|_| Some(init())))
+    }
+
+    fn from_values(values: impl Iterator<Item = Option<T>>) -> Self {
+        Views {
+            slots: values
+                .map(|v| CachePadded::new(UnsafeCell::new(v)))
+                .collect(),
+        }
+    }
+
+    /// Takes view `id` out, leaving it empty.
+    pub fn take(&mut self, id: usize) -> Option<T> {
+        self.slots[id].get_mut().take()
+    }
+
+    /// Raw access to view `id`; dereferencing it requires exclusive access.
+    fn slot(&self, id: usize) -> *mut Option<T> {
+        self.slots[id].get()
     }
 }
 
-/// Harness shared by both reduction flavors.
-struct ReduceHarness<'a, T, Id, Fold, Comb> {
-    identity: &'a Id,
-    fold: &'a Fold,
-    combine: &'a Comb,
-    views: Vec<ViewSlot<T>>,
-    range: Range<usize>,
-    nthreads: usize,
+/// A loop with a merged reduction: every participant runs `share`, which leaves its
+/// partial result in its own view, and the join phase folds the views pairwise with
+/// `combine` as the children arrive — exactly `P − 1` combines and no barrier beyond
+/// the loop's own.  After [`crate::LoopEngine::run`] returns, view 0 holds the whole
+/// reduction.
+pub struct Merged<'a, T, S, C> {
+    share: S,
+    views: &'a mut Views<T>,
+    /// `None` leaves the views unmerged (the master folds them in order afterwards).
+    combine: Option<&'a C>,
 }
 
-impl<'a, T, Id, Fold, Comb> ReduceHarness<'a, T, Id, Fold, Comb>
+impl<'a, T, S, C> Merged<'a, T, S, C>
 where
-    Id: Fn() -> T,
-    Comb: Fn(T, T) -> T,
+    T: Send,
+    S: Fn(usize, Epoch, &mut Option<T>) + Sync,
+    C: Fn(T, T) -> T + Sync,
 {
-    /// # Safety
-    /// `id` must identify a view that is not concurrently accessed.
-    unsafe fn take_view(&self, id: usize) -> T {
-        // SAFETY: the caller guarantees exclusive access to view `id`.
-        let slot = unsafe { &mut *self.views[id].0.get() };
-        slot.take().unwrap_or_else(|| (self.identity)())
-    }
-
-    /// # Safety
-    /// As for `take_view`.
-    unsafe fn put_view(&self, id: usize, value: T) {
-        // SAFETY: the caller guarantees exclusive access to view `id`.
-        let slot = unsafe { &mut *self.views[id].0.get() };
-        *slot = Some(value);
+    /// A merged reduction over `views`: `share(id, epoch, view)` runs participant
+    /// `id`'s share of the loop with exclusive access to its own view, and `combine`
+    /// (associative and commutative: the join tree does not preserve participant
+    /// order) folds two views inside the join phase.
+    pub fn new(views: &'a mut Views<T>, share: S, combine: &'a C) -> Self {
+        Merged {
+            share,
+            views,
+            combine: Some(combine),
+        }
     }
 }
 
-unsafe fn exec_reduce<T, Id, Fold, Comb>(data: *const (), id: usize)
-where
-    Id: Fn() -> T + Sync,
-    Fold: Fn(T, usize) -> T + Sync,
-    Comb: Fn(T, T) -> T + Sync,
-{
-    // SAFETY: the caller passes a pointer to a live harness (the master's stack
-    // frame keeps it alive until the loop's join phase completes).
-    let h = unsafe { &*(data as *const ReduceHarness<'_, T, Id, Fold, Comb>) };
-    let mut acc = (h.identity)();
-    for i in static_block(&h.range, h.nthreads, id) {
-        acc = (h.fold)(acc, i);
-    }
-    // SAFETY: each participant writes only its own view before arriving at the join.
-    unsafe { h.put_view(id, acc) };
-}
+// SAFETY: `share` and `combine` are `Sync` and only called through `&self`.  The
+// views are reached only through the engine-facing methods below, whose contract
+// (see `engine::sealed::Harness`) makes each view's accesses exclusive and ordered by
+// the barrier's release/acquire edges; `T: Send` lets a view move between threads.
+unsafe impl<T: Send, S: Sync, C: Sync> Sync for Merged<'_, T, S, C> {}
 
-unsafe fn combine_reduce<T, Id, Fold, Comb>(data: *const (), into: usize, from: usize)
+impl<T, S, C> sealed::Harness for Merged<'_, T, S, C>
 where
-    Id: Fn() -> T + Sync,
-    Fold: Fn(T, usize) -> T + Sync,
-    Comb: Fn(T, T) -> T + Sync,
+    T: Send,
+    S: Fn(usize, Epoch, &mut Option<T>) + Sync,
+    C: Fn(T, T) -> T + Sync,
 {
-    // SAFETY: the caller passes a pointer to a live harness (the master's stack
-    // frame keeps it alive until the loop's join phase completes).
-    let h = unsafe { &*(data as *const ReduceHarness<'_, T, Id, Fold, Comb>) };
-    // SAFETY: the join phase guarantees `from` has arrived (its view is final and its
-    // owner no longer touches it) and that only the parent accesses both views here.
-    unsafe {
-        let a = h.take_view(into);
-        let b = h.take_view(from);
-        h.put_view(into, (h.combine)(a, b));
+    #[inline]
+    unsafe fn execute(&self, id: usize, epoch: Epoch) {
+        // SAFETY: by the execute contract this thread is the only one running
+        // participant `id`, and no combine names `id` meanwhile.
+        (self.share)(id, epoch, unsafe { &mut *self.views.slot(id) })
+    }
+
+    fn combines(&self) -> bool {
+        self.combine.is_some()
+    }
+
+    #[inline]
+    unsafe fn combine(&self, into: usize, from: usize) {
+        if let Some(combine) = self.combine {
+            // SAFETY: by the combine contract `from` has finished and arrived, and this
+            // thread, its join parent, is the only one that touches it now.
+            let b = unsafe { &mut *self.views.slot(from) }.take();
+            // SAFETY: by the combine contract this thread executed `into`, so nobody
+            // else touches its view.
+            let into = unsafe { &mut *self.views.slot(into) };
+            let a = into.take().expect("reduction view is empty");
+            *into = Some(combine(a, b.expect("reduction view is empty")));
+        }
     }
 }
 
@@ -130,30 +165,16 @@ impl FineGrainPool {
         if range.is_empty() {
             return identity();
         }
-        let nthreads = self.num_threads();
-        let harness = ReduceHarness {
-            identity: &identity,
-            fold: &fold,
-            combine: &combine,
-            views: (0..nthreads).map(|_| ViewSlot::empty()).collect(),
-            range,
-            nthreads,
-        };
-        self.shared().stats.record_loop(self.phases_per_loop());
-        self.shared().stats.record_reduction();
-        // SAFETY: the harness outlives `run_job`; the entry points reinterpret the
-        // pointer as exactly `ReduceHarness<'_, T, Id, Fold, Comb>`; view accesses are
-        // serialized by the join-phase protocol (see `combine_reduce`).
-        unsafe {
-            self.run_job(Job::new(
-                &harness as *const _ as *const (),
-                exec_reduce::<T, Id, Fold, Comb>,
-                Some(combine_reduce::<T, Id, Fold, Comb>),
-            ));
-        }
-        // After the master's join phase its view holds the fully combined result.
-        // SAFETY: all workers have arrived; no concurrent access remains.
-        unsafe { harness.take_view(0) }
+        let n = self.num_threads();
+        let mut views = Views::new(n);
+        self.engine.run(Merged::new(
+            &mut views,
+            |id, _, view| *view = Some(static_block(&range, n, id).fold(identity(), &fold)),
+            &combine,
+        ));
+        views
+            .take(0)
+            .expect("the master's view holds the reduction")
     }
 
     /// Parallel reduction that preserves the left-to-right (iteration-order) combination
@@ -178,37 +199,27 @@ impl FineGrainPool {
         if range.is_empty() {
             return identity();
         }
-        let nthreads = self.num_threads();
-        let harness = ReduceHarness {
-            identity: &identity,
-            fold: &fold,
-            combine: &combine,
-            views: (0..nthreads).map(|_| ViewSlot::empty()).collect(),
-            range,
-            nthreads,
-        };
-        self.shared().stats.record_loop(self.phases_per_loop());
-        self.shared().stats.record_reduction();
-        // SAFETY: as in `parallel_reduce`; no combine function is attached to the job,
-        // so views are only written by their owners during the loop.
-        unsafe {
-            self.run_job(Job::new(
-                &harness as *const _ as *const (),
-                exec_reduce::<T, Id, Fold, Comb>,
-                None,
-            ));
-        }
+        let n = self.num_threads();
+        let mut views = Views::new(n);
+        let stats = self.engine.counters();
+        stats.record_reduction();
+        self.engine.run(Merged {
+            share: |id, _, view: &mut Option<T>| {
+                *view = Some(static_block(&range, n, id).fold(identity(), &fold))
+            },
+            views: &mut views,
+            combine: None::<&Comb>,
+        });
         // Fold the per-thread views in thread order: thread t's block precedes thread
         // t+1's block in iteration order, so this reproduces the sequential fold.
-        // SAFETY: all workers have arrived; the master is the only remaining accessor.
-        unsafe {
-            let mut acc = harness.take_view(0);
-            for t in 1..nthreads {
-                self.shared().stats.record_combine();
-                acc = combine(acc, harness.take_view(t));
-            }
-            acc
-        }
+        let mut partials = (0..n).map(|t| views.take(t).expect("every participant folded"));
+        let first = partials
+            .next()
+            .expect("a pool has at least one participant");
+        partials.fold(first, |acc, view| {
+            stats.record_combine();
+            combine(acc, view)
+        })
     }
 
     /// Convenience wrapper: parallel sum of `f(i)` over `range`.
@@ -360,6 +371,25 @@ mod tests {
         assert!((got.x - expected_x).abs() < 1e-6);
         assert!((got.y - expected_y).abs() < 1e-6);
         assert!((got.xy - expected_xy).abs() < 1e-6);
+    }
+
+    #[test]
+    fn merged_views_fold_through_a_bare_engine() {
+        // The engine-level API the stealing pool builds on: seeded views, a share
+        // that updates its own view in place, P - 1 combines in the join.
+        for kind in BarrierKind::ALL {
+            let p = pool(kind, 3);
+            let mut views = Views::seeded(3, || 10u64);
+            p.engine.run(Merged::new(
+                &mut views,
+                |id, epoch, view| *view.as_mut().unwrap() += 100 * id as u64 + epoch,
+                &|a: u64, b: u64| a + b,
+            ));
+            assert_eq!(views.take(0), Some(30 + 300 + 3), "kind {kind:?}");
+            assert_eq!(views.take(1), None, "merged views are consumed");
+            #[cfg(not(feature = "stats-off"))]
+            assert_eq!(p.stats().combine_ops, 2);
+        }
     }
 
     #[test]

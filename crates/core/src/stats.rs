@@ -1,15 +1,17 @@
-//! Scheduler instrumentation counters.
+//! Loop-engine instrumentation counters.
 //!
 //! The counters are cheap (relaxed atomics bumped by the master or, for combines, by
 //! whichever thread performs the combine) and are used by the tests to verify the
 //! structural claims of the paper — e.g. that a merged reduction performs exactly
 //! `P − 1` combine operations, or that a half-barrier loop issues exactly one release
-//! and one join phase.
+//! and one join phase.  Every [`crate::LoopEngine`] owns one set, so they account the
+//! fine-grain pool and `parlo-steal`'s stealing pool alike.
 //!
 //! Building the crate with the `stats-off` feature swaps [`PoolStats`] for a
 //! zero-sized stand-in whose `record_*` methods are empty inline functions: the hot
-//! path carries no atomics at all and [`PoolStats::snapshot`] returns all zeros.
-//! Scheduling behaviour and results are identical — only the accounting is gone.
+//! path carries no atomics at all and [`PoolStats::snapshot`] returns all zeros — for
+//! both pools, since both run on the engine.  Scheduling behaviour and results are
+//! identical — only the accounting is gone.
 
 #[cfg(not(feature = "stats-off"))]
 use parlo_sync::{AtomicU64, Ordering};

@@ -561,6 +561,11 @@ fn worker_loop(shared: Arc<WorkerShared>, id: usize) {
         let abort_guard = AbortOnUnwind(id);
         body(local);
         std::mem::forget(abort_guard);
+        // Release the client's body before reporting the exit: once the count drains,
+        // `Lease::drop` returns and the client may be torn down, so a clone still held
+        // here could own the last reference to client state (a gang's pool, its lease,
+        // an executor handle) and drop it later, on this substrate thread.
+        drop(body);
         let mut st = shared
             .state
             .lock()
@@ -778,13 +783,28 @@ mod tests {
         }
     }
 
+    /// The OS thread id of the calling thread, read from `/proc/thread-self`
+    /// (`None` where that interface does not exist).
+    fn current_tid() -> Option<String> {
+        let link = std::fs::read_link("/proc/thread-self").ok()?;
+        Some(link.file_name()?.to_string_lossy().into_owned())
+    }
+
     #[test]
     fn dropping_the_last_handle_joins_the_workers() {
-        let before = process_thread_count();
+        // Count only this executor's own threads — sibling tests spawn and join
+        // threads concurrently, so a whole-process census would race with them.  The
+        // body records the tid of every substrate worker that enters it.
+        let tids = Arc::new(Mutex::new(Vec::new()));
         {
             let topo = Topology::flat(4).unwrap();
             let exec = Executor::new(&topo, PinPolicy::None);
-            let (hooks, client) = FlagClient::hooks("c", 4);
+            let (mut hooks, client) = FlagClient::hooks("c", 4);
+            let (inner, seen) = (hooks.body.clone(), tids.clone());
+            hooks.body = Arc::new(move |id| {
+                seen.lock().unwrap().extend(current_tid());
+                inner(id)
+            });
             let lease = exec.register(hooks);
             client.reset();
             lease.activate();
@@ -793,9 +813,45 @@ mod tests {
             assert_eq!(exec.stats().leases, 0);
             assert!(exec.stats().active.is_empty(), "lease drop detaches");
         }
-        // Executor::drop joins synchronously, so the census is back immediately.
-        if let (Some(b), Some(a)) = (before, process_thread_count()) {
-            assert_eq!(a, b, "no leaked substrate threads");
+        // Executor::drop joins synchronously, so none of its threads survives it.
+        let tids = tids.lock().unwrap();
+        if current_tid().is_some() {
+            assert_eq!(tids.len(), 3, "every worker entered the body");
+        }
+        for tid in tids.iter() {
+            assert!(
+                !std::path::Path::new("/proc/self/task").join(tid).exists(),
+                "substrate thread {tid} leaked past executor drop"
+            );
+        }
+    }
+
+    #[test]
+    fn lease_drop_releases_the_body_before_returning() {
+        // A worker must give up its clone of the client body before `Lease::drop`
+        // can return; otherwise whatever the body captured (a gang's pool, its
+        // lease, an executor handle) is dropped later, on a substrate thread.  Seven
+        // workers oversubscribe small hosts, so a worker is often preempted between
+        // reporting its exit and returning — the window this test probes.
+        let topo = Topology::flat(8).unwrap();
+        let exec = Executor::new(&topo, PinPolicy::None);
+        for round in 0..200 {
+            let (mut hooks, client) = FlagClient::hooks("owner", 8);
+            let token = Arc::new(());
+            let (inner, held) = (hooks.body.clone(), token.clone());
+            hooks.body = Arc::new(move |id| {
+                let _held = &held;
+                inner(id)
+            });
+            let lease = exec.register(hooks);
+            client.reset();
+            lease.activate();
+            drop(lease);
+            assert_eq!(
+                Arc::strong_count(&token),
+                1,
+                "round {round}: a worker still held the body after drop(lease)"
+            );
         }
     }
 

@@ -247,47 +247,38 @@ fn driver_loop(gang: &GangState) {
 fn run_batch(gang: &GangState, batch: Vec<QueuedJob>) {
     parlo_trace::span_begin(parlo_trace::Phase::Batch, batch.len() as u64, 0);
     let mut guard = gang.pool.lock().unwrap_or_else(|p| p.into_inner());
-    match guard.as_mut() {
-        None => {
-            for job in &batch {
-                job.done.complete(run_seq(&job.kind));
+    let values: Vec<f64> = match guard.as_mut() {
+        None => batch.iter().map(|job| run_seq(&job.kind)).collect(),
+        Some(pool) if batch.len() == 1 => vec![match &batch[0].kind {
+            LoopKind::For { range, body } => {
+                pool.parallel_for(range.clone(), |i| body(i));
+                0.0
             }
-        }
+            LoopKind::Sum { range, f } => pool.parallel_sum(range.clone(), |i| f(i)),
+        }],
         Some(pool) => {
-            if batch.len() == 1 {
-                let job = &batch[0];
-                let value = match &job.kind {
-                    LoopKind::For { range, body } => {
-                        pool.parallel_for(range.clone(), |i| body(i));
-                        0.0
-                    }
-                    LoopKind::Sum { range, f } => pool.parallel_sum(range.clone(), |i| f(i)),
+            let mut offsets = Vec::with_capacity(batch.len() + 1);
+            offsets.push(0usize);
+            for job in &batch {
+                let LoopKind::For { range, .. } = &job.kind else {
+                    unreachable!("multi-job batches are for-only");
                 };
-                job.done.complete(value);
-            } else {
-                let mut offsets = Vec::with_capacity(batch.len() + 1);
-                offsets.push(0usize);
-                for job in &batch {
-                    let LoopKind::For { range, .. } = &job.kind else {
-                        unreachable!("multi-job batches are for-only");
-                    };
-                    offsets.push(offsets.last().unwrap() + range.len());
-                }
-                let total = *offsets.last().unwrap();
-                pool.parallel_for(0..total, |i| {
-                    let k = offsets.partition_point(|&o| o <= i) - 1;
-                    let LoopKind::For { range, body } = &batch[k].kind else {
-                        unreachable!("multi-job batches are for-only");
-                    };
-                    body(range.start + (i - offsets[k]));
-                });
-                for job in &batch {
-                    job.done.complete(0.0);
-                }
+                offsets.push(offsets.last().unwrap() + range.len());
             }
+            let total = *offsets.last().unwrap();
+            pool.parallel_for(0..total, |i| {
+                let k = offsets.partition_point(|&o| o <= i) - 1;
+                let LoopKind::For { range, body } = &batch[k].kind else {
+                    unreachable!("multi-job batches are for-only");
+                };
+                body(range.start + (i - offsets[k]));
+            });
+            vec![0.0; batch.len()]
         }
-    }
+    };
     drop(guard);
+    // Count the batch before completing its handles: a tenant woken by
+    // `handle.wait()` must already see its job in `stats().completed`.
     gang.counters.batches.fetch_add(1, Ordering::Relaxed);
     if batch.len() > 1 {
         gang.counters
@@ -297,6 +288,9 @@ fn run_batch(gang: &GangState, batch: Vec<QueuedJob>) {
     gang.counters
         .completed
         .fetch_add(batch.len() as u64, Ordering::Relaxed);
+    for (job, value) in batch.iter().zip(values) {
+        job.done.complete(value);
+    }
     parlo_trace::instant(parlo_trace::Phase::Complete, batch.len() as u64, 0);
     parlo_trace::span_end(parlo_trace::Phase::Batch);
 }

@@ -13,10 +13,14 @@
 //!   **owner-LIFO** pops (front to back through the block — cache friendly), while
 //!   exhausted workers take chunks **thief-FIFO** from the back of randomized victims'
 //!   runs, so skewed iteration costs rebalance without a shared dispenser;
-//! * loop completion is detected by the **same half-barrier** as the fine-grain pool
-//!   (hierarchical, socket-composed flavor included): 2 barrier phases per loop and
-//!   exactly `P − 1` combines per merged reduction, keeping the burden comparison with
-//!   the rest of the roster structural, not incidental.
+//! * loop completion is detected by the **same half-barrier engine** as the
+//!   fine-grain pool: a [`StealPool`] is `parlo-core`'s [`parlo_core::LoopEngine`]
+//!   (job slot, epochs, detach cycle, lease, hierarchical socket-composed barrier,
+//!   loop/phase/combine counters) plus a chunk-deque dispenser — the deques, the
+//!   steal sweeps, remote batching and sticky affinity.  So a loop costs 2 barrier
+//!   phases and a merged reduction exactly `P − 1` combines over core's padded
+//!   [`parlo_core::Views`], keeping the burden comparison with the rest of the roster
+//!   structural, not incidental.
 //!
 //! Stealing is **locality-aware** by default: sweeps walk the topology's victim tiers
 //! socket-local-first (randomized within each tier, falling outward only when the
@@ -32,7 +36,9 @@
 //! through seeded steal schedules (and [`ScriptedOrder`] scripts exact victim visit
 //! orders), and [`StealStats`] accounts every chunk (per worker) and every steal
 //! attempt/hit — split into local and remote — so "no chunk lost or duplicated" is
-//! checkable exactly.
+//! checkable exactly.  Its loop/reduction/phase/combine counts are the engine's, so a
+//! `parlo-core/stats-off` build reads them as zero; the steal and sticky counters are
+//! the dispenser's own and stay live.
 //!
 //! ```
 //! use parlo_steal::StealPool;

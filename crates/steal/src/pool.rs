@@ -1,11 +1,12 @@
 //! The persistent work-stealing chunk pool.
 //!
-//! A [`StealPool`] owns `P − 1` workers bound to one master, like the fine-grain pool,
-//! but distributes each loop through per-worker **chunk deques** instead of pure static
-//! blocks:
+//! A [`StealPool`] is `parlo-core`'s [`LoopEngine`] plus a chunk-deque dispenser: the
+//! engine owns the workers, the half-barrier, the job slot, the detach cycle and the
+//! loop/reduction/phase/combine counters, and this module decides only *who runs
+//! which iterations*.  Per loop:
 //!
-//! 1. the master publishes the loop descriptor and performs the **release phase** of
-//!    the half-barrier — it never waits at the fork point;
+//! 1. the master publishes the loop and performs the **release phase** of the
+//!    half-barrier — it never waits at the fork point;
 //! 2. every participant seeds its own deque with its pre-split chunk run
 //!    (its static block subdivided into chunks, pushed back-to-front) and executes it
 //!    with owner-LIFO pops, so the run proceeds front to back;
@@ -28,11 +29,11 @@ use crate::perturb::{SchedulePerturbation, SweepPlan, MAX_PERTURB_SPINS};
 use crate::sticky::{balanced_owners, StealSite, StickyEntry, StickyLoop, StickyTable};
 use crossbeam::utils::CachePadded;
 use parlo_affinity::{PinPolicy, Topology};
-use parlo_barrier::{Epoch, HalfBarrier, TreeShape, WaitPolicy};
+use parlo_barrier::{Epoch, WaitPolicy};
 use parlo_cilk::Steal;
-use parlo_exec::{ClientHooks, Executor, Lease};
-use parlo_sync::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::cell::{Cell, UnsafeCell};
+use parlo_core::{BarrierKind, Config, LoopEngine, Merged, StatsSnapshot, Views};
+use parlo_exec::Executor;
+use parlo_sync::{AtomicU32, AtomicU64, Ordering};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -54,8 +55,8 @@ pub struct StealConfig {
     pub pin: PinPolicy,
     /// Waiting policy of the half-barrier phases.
     pub wait: WaitPolicy,
-    /// Compose the half-barrier per socket ([`parlo_barrier::HierarchicalHalfBarrier`])
-    /// instead of one flat topology-aware tree.
+    /// Compose the half-barrier per socket (socket-local arrival trees, one
+    /// cross-socket rendezvous) instead of one flat topology-aware tree.
     pub hierarchical: bool,
     /// Explicit chunk size for every loop; `None` derives one per loop from
     /// [`default_chunk`].
@@ -142,6 +143,22 @@ impl StealConfig {
         self.locality = locality;
         self
     }
+
+    /// The engine configuration the pool runs on — the one place the stealing
+    /// configuration maps onto `parlo-core`'s: the tree half-barrier (socket-composed
+    /// when `hierarchical`) with the topology's arrival fan-in, over the same
+    /// topology, pin and wait policy.
+    fn engine_config(&self) -> Config {
+        Config {
+            num_threads: self.num_threads.max(1),
+            barrier: BarrierKind::TreeHalf,
+            topology: self.topology.clone(),
+            pin: self.pin,
+            wait: self.wait,
+            fanin: None,
+            hierarchical: self.hierarchical,
+        }
+    }
 }
 
 parlo_core::stats_family! {
@@ -205,12 +222,14 @@ impl StealStats {
     }
 }
 
-/// One participant's private hot-path counters, padded to a cache line so the steal
-/// tail (one attempt bump per victim probe) never bounces a line between workers.
-/// The local/remote tier split of the hits lives on the same line for the same
-/// reason: a hit's classification store must stay core-local.
+/// One participant's private hot-path line, padded to a cache line so the steal tail
+/// (one attempt bump per victim probe) never bounces a line between workers.  The
+/// local/remote tier split of the hits and the victim-rotation state live on the same
+/// line for the same reason: everything a sweep writes stays core-local.
 #[derive(Debug, Default)]
-struct WorkerCounters {
+struct ParticipantLine {
+    /// xorshift state of the unperturbed victim rotation; carried across loops.
+    rng: AtomicU64,
     chunks: AtomicU64,
     steals_attempted: AtomicU64,
     steals_hit: AtomicU64,
@@ -218,75 +237,66 @@ struct WorkerCounters {
     remote_steals: AtomicU64,
 }
 
-/// Internal counters (relaxed atomics).  Everything a worker touches while executing
-/// a loop — chunk counts and steal attempt/hit counts — lives in that worker's own
-/// padded [`WorkerCounters`] line; only the master's per-loop bookkeeping and the
-/// join-phase combine count use shared words.
+/// The stealing-specific counters (relaxed atomics); the loop, reduction, phase and
+/// combine counts are the engine's.  Everything a participant touches while executing
+/// a loop lives in its own padded [`ParticipantLine`]; the sticky counters are bumped
+/// by the master only.
 #[derive(Debug)]
 struct StealCounters {
-    loops: AtomicU64,
-    reductions: AtomicU64,
-    barrier_phases: AtomicU64,
-    combine_ops: AtomicU64,
     sticky_loops: AtomicU64,
     sticky_hits: AtomicU64,
     sticky_invalidations: AtomicU64,
     sticky_chunks_reused: AtomicU64,
     sticky_chunks_total: AtomicU64,
-    per_worker: Vec<CachePadded<WorkerCounters>>,
+    lines: Vec<CachePadded<ParticipantLine>>,
 }
 
 impl StealCounters {
     fn new(nthreads: usize) -> Self {
+        let line = |id: usize| {
+            let seed = if id == 0 {
+                0xD1B5_4A32_D192_ED03
+            } else {
+                victim_seed(id)
+            };
+            CachePadded::new(ParticipantLine {
+                rng: AtomicU64::new(seed),
+                ..ParticipantLine::default()
+            })
+        };
         StealCounters {
-            loops: AtomicU64::new(0),
-            reductions: AtomicU64::new(0),
-            barrier_phases: AtomicU64::new(0),
-            combine_ops: AtomicU64::new(0),
             sticky_loops: AtomicU64::new(0),
             sticky_hits: AtomicU64::new(0),
             sticky_invalidations: AtomicU64::new(0),
             sticky_chunks_reused: AtomicU64::new(0),
             sticky_chunks_total: AtomicU64::new(0),
-            per_worker: (0..nthreads)
-                .map(|_| CachePadded::new(WorkerCounters::default()))
-                .collect(),
+            lines: (0..nthreads).map(line).collect(),
         }
     }
 
-    fn snapshot(&self) -> StealStats {
+    fn snapshot(&self, engine: StatsSnapshot) -> StealStats {
+        let sum = |field: fn(&ParticipantLine) -> &AtomicU64| -> u64 {
+            self.lines
+                .iter()
+                .map(|w| field(w).load(Ordering::Relaxed))
+                .sum()
+        };
         StealStats {
-            loops: self.loops.load(Ordering::Relaxed),
-            reductions: self.reductions.load(Ordering::Relaxed),
-            barrier_phases: self.barrier_phases.load(Ordering::Relaxed),
-            combine_ops: self.combine_ops.load(Ordering::Relaxed),
+            loops: engine.loops,
+            reductions: engine.reductions,
+            barrier_phases: engine.barrier_phases,
+            combine_ops: engine.combine_ops,
             sticky_loops: self.sticky_loops.load(Ordering::Relaxed),
             sticky_hits: self.sticky_hits.load(Ordering::Relaxed),
             sticky_invalidations: self.sticky_invalidations.load(Ordering::Relaxed),
             sticky_chunks_reused: self.sticky_chunks_reused.load(Ordering::Relaxed),
             sticky_chunks_total: self.sticky_chunks_total.load(Ordering::Relaxed),
-            steals_attempted: self
-                .per_worker
-                .iter()
-                .map(|w| w.steals_attempted.load(Ordering::Relaxed))
-                .sum(),
-            steals_hit: self
-                .per_worker
-                .iter()
-                .map(|w| w.steals_hit.load(Ordering::Relaxed))
-                .sum(),
-            local_steals: self
-                .per_worker
-                .iter()
-                .map(|w| w.local_steals.load(Ordering::Relaxed))
-                .sum(),
-            remote_steals: self
-                .per_worker
-                .iter()
-                .map(|w| w.remote_steals.load(Ordering::Relaxed))
-                .sum(),
+            steals_attempted: sum(|w| &w.steals_attempted),
+            steals_hit: sum(|w| &w.steals_hit),
+            local_steals: sum(|w| &w.local_steals),
+            remote_steals: sum(|w| &w.remote_steals),
             chunks_per_worker: self
-                .per_worker
+                .lines
                 .iter()
                 .map(|w| w.chunks.load(Ordering::Relaxed))
                 .collect(),
@@ -294,57 +304,11 @@ impl StealCounters {
     }
 }
 
-/// Type-erased descriptor of the current loop.
-#[derive(Clone, Copy)]
-struct StealJob {
-    data: *const (),
-    /// Runs iterations `lo..hi` on behalf of participant `worker`.
-    run_chunk: unsafe fn(*const (), usize, usize, usize),
-    /// Folds participant `from`'s reduction view into participant `to`'s.
-    combine: Option<unsafe fn(*const (), usize, usize)>,
-    /// The loop range every participant pre-splits independently.
-    start: usize,
-    end: usize,
-    /// Chunk size of the pre-split.
-    chunk: usize,
-    /// Sticky-affinity state of a site-keyed loop (null for plain loops): the
-    /// chunk→worker assignment driving the deque seeding and the per-chunk execution
-    /// record.  Owned by the master's stack frame, alive until the join completes.
-    sticky: *const StickyLoop,
-}
-
-impl StealJob {
-    fn noop() -> Self {
-        unsafe fn nop(_: *const (), _: usize, _: usize, _: usize) {}
-        StealJob {
-            data: std::ptr::null(),
-            run_chunk: nop,
-            combine: None,
-            start: 0,
-            end: 0,
-            chunk: 1,
-            sticky: std::ptr::null(),
-        }
-    }
-}
-
-struct StealShared {
-    nthreads: usize,
+/// What only stealing needs, shared with every participant through the loop
+/// harness: the deques, the victim tiers and the per-participant lines.
+struct Dispenser {
     deques: Vec<ChunkDeque>,
-    job: UnsafeCell<StealJob>,
-    sync: HalfBarrier,
-    /// Asks the leased workers to exit the scheduling loop and park in the substrate.
-    detach: AtomicBool,
-    /// The master's loop epoch (an atomic so the substrate-held detach hook can
-    /// advance it; mutated only by the driving thread).
-    epoch: AtomicU64,
-    /// Where each worker's epoch counter resumes after a detach/re-attach cycle.
-    worker_epochs: Vec<CachePadded<AtomicU64>>,
-    /// Diagnostic: a lease revoked while a loop is in flight is a contract bug.
-    in_loop: AtomicBool,
-    policy: WaitPolicy,
-    stats: StealCounters,
-    perturb: Option<Arc<dyn SchedulePerturbation>>,
+    counters: StealCounters,
     /// `socket_of[w]` = socket of participant `w` under the compact layout; used to
     /// classify every steal hit as local or remote (in both sweep modes).
     socket_of: Vec<usize>,
@@ -355,43 +319,15 @@ struct StealShared {
     config: StealConfig,
 }
 
-impl StealShared {
-    fn next_epoch(&self) -> Epoch {
-        let epoch = self.epoch.load(Ordering::Relaxed) + 1;
-        self.epoch.store(epoch, Ordering::Relaxed);
-        epoch
-    }
+/// One stealing loop: the range every participant pre-splits independently, the
+/// chunk size of the split, and the sticky-affinity state of a site-keyed loop (the
+/// chunk→worker assignment driving the deque seeding and the per-chunk execution
+/// record).
+struct ChunkLoop<'a> {
+    range: Range<usize>,
+    chunk: usize,
+    sticky: Option<&'a StickyLoop>,
 }
-
-/// The pool's detach hook: one symmetric no-op half-barrier cycle (release + join)
-/// that every attached worker answers by arriving and exiting its scheduling loop, so
-/// the epoch accounting stays aligned across re-attachment.
-fn detach_workers(shared: &StealShared) {
-    assert!(
-        !shared.in_loop.swap(true, Ordering::Relaxed),
-        "steal pool lease revoked while a loop is in flight; concurrent drivers of one \
-         pool must coordinate (see the parlo-exec multi-driver contract)"
-    );
-    shared.detach.store(true, Ordering::Release);
-    let epoch = shared.next_epoch();
-    parlo_trace::span_begin(parlo_trace::Phase::DetachCycle, epoch, 0);
-    // SAFETY: no loop is in flight (we hold the `in_loop` claim), so no worker reads
-    // the job cell concurrently.
-    unsafe { *shared.job.get() = StealJob::noop() };
-    shared.sync.release(epoch);
-    shared.sync.join(epoch, &shared.policy, |_| {});
-    parlo_trace::span_end(parlo_trace::Phase::DetachCycle);
-    shared.in_loop.store(false, Ordering::Relaxed);
-}
-
-// SAFETY: the job cell is written only by the master, strictly before the half-barrier
-// release edge the workers synchronize on; every other shared field is atomic, the
-// sync-internal structures, or immutable after construction.  Deque `i` is pushed and
-// popped only by participant `i` (its owner) and stolen from by any participant, which
-// is exactly the Chase–Lev contract.
-unsafe impl Sync for StealShared {}
-// SAFETY: same per-field argument as Sync above.
-unsafe impl Send for StealShared {}
 
 /// The work-stealing chunk scheduler.
 ///
@@ -399,10 +335,8 @@ unsafe impl Send for StealShared {}
 /// not nest — the same structural property the half-barrier completion detection relies
 /// on in the fine-grain pool.
 pub struct StealPool {
-    shared: Arc<StealShared>,
-    /// The pool's claim on the shared worker substrate (the pool spawns no threads).
-    lease: Lease,
-    rng: Cell<u64>,
+    engine: LoopEngine,
+    dispenser: Dispenser,
     /// Remembered per-site chunk→worker assignments (see the `sticky` module for the
     /// invalidation contract).  Master-only: loop entry points take `&mut self`.
     sticky: StickyTable,
@@ -411,7 +345,7 @@ pub struct StealPool {
 impl std::fmt::Debug for StealPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StealPool")
-            .field("num_threads", &self.shared.nthreads)
+            .field("num_threads", &self.num_threads())
             .finish()
     }
 }
@@ -494,437 +428,290 @@ impl StealPool {
         executor: &Arc<Executor>,
         workers: &[usize],
     ) -> Self {
-        assert_eq!(
-            config.num_threads,
-            workers.len() + 1,
-            "a partition pool has one thread per leased worker plus its master"
-        );
         Self::build(config, executor, Some(workers))
     }
 
     fn build(config: StealConfig, executor: &Arc<Executor>, partition: Option<&[usize]>) -> Self {
-        let nthreads = config.num_threads.max(1);
-        let fanin = config.topology.suggested_arrival_fanin();
-        let sync = if config.hierarchical {
-            HalfBarrier::new_hierarchical(&config.topology, nthreads, fanin)
-        } else {
-            HalfBarrier::new_tree(TreeShape::topology_aware(&config.topology, nthreads, fanin))
-        };
-        let shared = Arc::new(StealShared {
-            nthreads,
+        let engine = LoopEngine::new(
+            "steal".to_string(),
+            config.engine_config(),
+            executor,
+            partition,
+        );
+        let nthreads = engine.num_threads();
+        let dispenser = Dispenser {
             deques: (0..nthreads).map(|_| ChunkDeque::new(1024)).collect(),
-            job: UnsafeCell::new(StealJob::noop()),
-            sync,
-            detach: AtomicBool::new(false),
-            epoch: AtomicU64::new(0),
-            worker_epochs: (0..nthreads)
-                .map(|_| CachePadded::new(AtomicU64::new(0)))
-                .collect(),
-            in_loop: AtomicBool::new(false),
-            policy: config.wait,
-            stats: StealCounters::new(nthreads),
-            perturb: config.perturb.clone(),
+            counters: StealCounters::new(nthreads),
             socket_of: (0..nthreads)
                 .map(|w| config.topology.socket_of_worker(w))
                 .collect(),
             tiers: (0..nthreads)
                 .map(|w| config.topology.victim_tiers(w, nthreads))
                 .collect(),
-            config: config.clone(),
-        });
-        if partition.is_none() {
-            if let Some(core) = config.topology.core_for_worker(0, config.pin) {
-                let _ = parlo_affinity::pin_to_core(core);
-            }
-        }
-        let body = {
-            let shared = shared.clone();
-            Arc::new(move |id: usize| worker_body(&shared, id))
-        };
-        let detach = {
-            let shared = shared.clone();
-            Arc::new(move || detach_workers(&shared))
-        };
-        let hooks = ClientHooks {
-            name: "steal".to_string(),
-            participants: nthreads,
-            body,
-            detach,
-        };
-        let lease = match partition {
-            None => executor.register(hooks),
-            Some(workers) => executor.register_partition(hooks, workers.to_vec()),
+            config,
         };
         StealPool {
-            shared,
-            lease,
-            rng: Cell::new(0xD1B5_4A32_D192_ED03),
+            engine,
+            dispenser,
             sticky: StickyTable::default(),
         }
     }
 
-    /// Makes sure the pool's lease on the substrate workers is active (one atomic load
-    /// when it already is).
-    fn ensure_workers(&self) {
-        if self.shared.nthreads <= 1 {
-            return;
-        }
-        self.lease
-            .ensure_active(|| self.shared.detach.store(false, Ordering::Relaxed));
-    }
-
     /// The substrate this pool leases its workers from.
     pub fn executor(&self) -> &Arc<Executor> {
-        self.lease.executor()
+        self.engine.executor()
     }
 
     /// Number of participants (master included).
     pub fn num_threads(&self) -> usize {
-        self.shared.nthreads
+        self.engine.num_threads()
     }
 
     /// The configuration the pool was built with.
     pub fn config(&self) -> &StealConfig {
-        &self.shared.config
+        &self.dispenser.config
     }
 
     /// A snapshot of the pool's instrumentation counters.
     pub fn stats(&self) -> StealStats {
-        self.shared.stats.snapshot()
+        self.dispenser.counters.snapshot(self.engine.stats())
     }
 
     /// Instrumentation counters of the hierarchical half-barrier, or `None` when the
     /// pool was configured with a flat tree.
     pub fn hierarchy_stats(&self) -> Option<parlo_barrier::HierarchyStats> {
-        self.shared.sync.hierarchy_stats()
+        self.engine.hierarchy_stats()
     }
 
     /// The chunk size a loop of `n` iterations uses on this pool.
     pub fn effective_chunk(&self, n: usize) -> usize {
-        self.shared
+        self.dispenser
             .config
             .chunk
-            .unwrap_or_else(|| default_chunk(n, self.shared.nthreads))
+            .unwrap_or_else(|| default_chunk(n, self.num_threads()))
             .max(1)
     }
 
-    /// Runs one type-erased stealing loop.
-    ///
-    /// # Safety
-    /// The harness behind `job.data` must stay alive until this call returns and its
-    /// entry points must be safe to call concurrently from all participants.
-    unsafe fn run_job(&self, job: StealJob) {
-        let shared = &*self.shared;
-        // Claim the pool before touching any loop state: a racing second driver
-        // panics deterministically on its own swap instead of corrupting the epoch.
-        assert!(
-            !shared.in_loop.swap(true, Ordering::Relaxed),
-            "steal pool driven by two threads at once: a pool serves exactly one \
-             master thread (see the parlo-exec multi-driver contract)"
-        );
-        self.ensure_workers();
-        let epoch = shared.next_epoch();
-        parlo_trace::span_begin(parlo_trace::Phase::Loop, epoch, shared.nthreads as u64);
-        let has_combine = job.combine.is_some();
-        shared.stats.barrier_phases.fetch_add(2, Ordering::Relaxed);
-        // Publish the loop descriptor, then perform the release phase of the fork.
-        // SAFETY: the previous loop's join completed (run_job is not
-        // reentrant thanks to the &mut self public API), so no worker reads the cell.
-        unsafe { *shared.job.get() = job };
-        shared.sync.release(epoch);
-        // The master participates like any worker: seed its run, drain, steal.
-        let mut rng = self.rng.get();
-        participate(shared, 0, epoch, &job, &mut rng);
-        self.rng.set(rng);
-        // Join phase: collect arrivals, folding reduction views on the way.
-        shared.sync.join(epoch, &shared.policy, |from| {
-            if has_combine {
-                shared.stats.combine_ops.fetch_add(1, Ordering::Relaxed);
-                parlo_trace::instant(parlo_trace::Phase::Combine, from as u64, 0);
-                if let Some(comb) = job.combine {
-                    // SAFETY: `from` has arrived, so its view is final and no longer
-                    // accessed by its owner.
-                    unsafe { comb(job.data, 0, from) };
-                }
-            }
+    /// Runs one stealing loop whose chunks execute `body` per index.
+    fn run_for<F: Fn(usize) + Sync>(&self, job: &ChunkLoop<'_>, body: &F) {
+        let dispenser = &self.dispenser;
+        self.engine.run(|id, epoch| {
+            dispenser.participate(id, epoch, job, |c| (c.start..c.end).for_each(body))
         });
-        parlo_trace::span_end(parlo_trace::Phase::Loop);
-        shared.in_loop.store(false, Ordering::Relaxed);
+    }
+
+    /// Runs one stealing reduction: every participant folds the chunks it executes
+    /// (own and stolen) into its own view, seeded with `init()`, and the engine merges
+    /// the views in the join phase.
+    fn run_reduce<T, Init, Fold, Comb>(
+        &self,
+        job: &ChunkLoop<'_>,
+        init: Init,
+        fold: Fold,
+        comb: Comb,
+    ) -> T
+    where
+        T: Send,
+        Init: Fn() -> T,
+        Fold: Fn(T, usize) -> T + Sync,
+        Comb: Fn(T, T) -> T + Sync,
+    {
+        let dispenser = &self.dispenser;
+        let mut views = Views::seeded(self.num_threads(), init);
+        self.engine.run(Merged::new(
+            &mut views,
+            |id, epoch, view| {
+                dispenser.participate(id, epoch, job, |c| {
+                    let acc = view.take().expect("view seeded with the neutral element");
+                    *view = Some((c.start..c.end).fold(acc, &fold));
+                })
+            },
+            &comb,
+        ));
+        views
+            .take(0)
+            .expect("master view present after the join phase")
     }
 }
 
-/// One participant's share of one loop: seed the own deque with the pre-split run
-/// (or the sticky assignment of a site-keyed loop), drain it LIFO, then steal FIFO
-/// from victims — socket-local tiers first when the pool is locality-aware — until a
-/// full sweep finds every deque empty.
-fn participate(shared: &StealShared, id: usize, epoch: Epoch, job: &StealJob, rng: &mut u64) {
-    let n = shared.nthreads;
-    let deque = &shared.deques[id];
-    let range = job.start..job.end;
-    // SAFETY: the master's stack frame keeps the `StickyLoop` alive until
-    // its join phase completes, and participants only dereference it in between.
-    let sticky = unsafe { job.sticky.as_ref() };
-    // Seed the own run, back to front, so owner-LIFO pops execute it front to back and
-    // thieves take from the back.  A full deque (pathologically small explicit chunk
-    // size) degrades gracefully: the overflowing chunk runs inline right away.
-    let seed = |c: ChunkRange| {
-        // SAFETY: deque `id` is owned by this participant.
-        if unsafe { deque.push(c) }.is_err() {
-            execute_chunk(shared, id, job, c);
-        }
-    };
-    match sticky {
-        Some(s) => assigned_run_rev(&range, job.chunk, &s.owners, id).for_each(seed),
-        None => worker_run_rev(&range, n, id, job.chunk).for_each(seed),
-    }
-    let mut attempt: u64 = 0;
-    loop {
-        // Own run first (LIFO pop = front-to-back execution order).
-        // SAFETY: deque `id` is owned by this participant.
-        if let Some(c) = unsafe { deque.pop() } {
-            execute_chunk(shared, id, job, c);
-            continue;
-        }
-        if n == 1 {
-            break;
-        }
-        // One perturbed steal sweep.
-        attempt += 1;
-        let plan = match &shared.perturb {
-            Some(p) => {
-                let plan = p.steal_sweep(id, epoch, attempt);
-                SweepPlan {
-                    delay_spins: plan.delay_spins.min(MAX_PERTURB_SPINS),
-                    ..plan
+impl Dispenser {
+    /// One participant's share of one loop: seed the own deque with the pre-split run
+    /// (or the sticky assignment of a site-keyed loop), drain it LIFO, then steal FIFO
+    /// from victims — socket-local tiers first when the pool is locality-aware — until
+    /// a full sweep finds every deque empty.  `run` executes one chunk.
+    fn participate(
+        &self,
+        id: usize,
+        epoch: Epoch,
+        job: &ChunkLoop<'_>,
+        mut run: impl FnMut(ChunkRange),
+    ) {
+        let n = self.deques.len();
+        let deque = &self.deques[id];
+        let line = &*self.counters.lines[id];
+        let mut execute = |c: ChunkRange| {
+            line.chunks.fetch_add(1, Ordering::Relaxed);
+            if let Some(s) = job.sticky {
+                let k = (c.start - job.range.start) / job.chunk;
+                if let Some(slot) = s.exec.get(k) {
+                    slot.store(id as u32, Ordering::Relaxed);
                 }
             }
-            None => SweepPlan {
-                victim_seed: xorshift(rng),
-                delay_spins: 0,
-            },
+            run(c);
         };
-        for _ in 0..plan.delay_spins {
-            std::hint::spin_loop();
-        }
-        parlo_trace::instant(parlo_trace::Phase::StealSweep, id as u64, attempt);
-        let mut stolen: Option<(ChunkRange, usize)> = None;
-        let mut saw_retry = false;
-        // Probe counters live on this worker's own padded line, so the per-probe
-        // bumps stay core-local even while every idle worker sweeps at once.
-        let my_counters = &*shared.stats.per_worker[id];
-        let probe = |victim: usize, saw_retry: &mut bool| -> Option<ChunkRange> {
-            my_counters.steals_attempted.fetch_add(1, Ordering::Relaxed);
-            match shared.deques[victim].steal() {
-                Steal::Success(c) => Some(c),
-                Steal::Retry => {
-                    *saw_retry = true;
-                    None
-                }
-                Steal::Empty => None,
+        // Seed the own run, back to front, so owner-LIFO pops execute it front to back
+        // and thieves take from the back.  A full deque (pathologically small explicit
+        // chunk size) degrades gracefully: the overflowing chunk runs inline right away.
+        let seed = |c: ChunkRange| {
+            // SAFETY: deque `id` is owned by this participant.
+            if unsafe { deque.push(c) }.is_err() {
+                execute(c);
             }
         };
-        let scripted = shared
-            .perturb
-            .as_ref()
-            .and_then(|p| p.victim_order(id, epoch, attempt, n));
-        if let Some(order) = scripted {
-            // Scripted sweep: probe exactly the scripted victims, in order.
-            for victim in order {
-                if victim == id || victim >= n {
-                    continue;
-                }
-                if let Some(c) = probe(victim, &mut saw_retry) {
-                    stolen = Some((c, victim));
-                    break;
-                }
+        match job.sticky {
+            Some(s) => assigned_run_rev(&job.range, job.chunk, &s.owners, id).for_each(seed),
+            None => worker_run_rev(&job.range, n, id, job.chunk).for_each(seed),
+        }
+        let mut rng = line.rng.load(Ordering::Relaxed);
+        let mut attempt: u64 = 0;
+        loop {
+            // Own run first (LIFO pop = front-to-back execution order).
+            // SAFETY: deque `id` is owned by this participant.
+            if let Some(c) = unsafe { deque.pop() } {
+                execute(c);
+                continue;
             }
-        } else if shared.config.locality {
-            // Tiered sweep: same-socket victims first (rotated within the tier by
-            // the plan's seed), falling one socket outward only when every deque in
-            // the nearer tier came up dry.
-            'tiers: for (t, tier) in shared.tiers[id].iter().enumerate() {
-                let rot = plan.victim_seed.rotate_right(t as u32 * 7) as usize % tier.len();
-                for k in 0..tier.len() {
-                    let victim = tier[(rot + k) % tier.len()];
-                    if let Some(c) = probe(victim, &mut saw_retry) {
-                        stolen = Some((c, victim));
-                        break 'tiers;
+            if n == 1 {
+                break;
+            }
+            // One perturbed steal sweep.
+            attempt += 1;
+            let plan = match &self.config.perturb {
+                Some(p) => {
+                    let plan = p.steal_sweep(id, epoch, attempt);
+                    SweepPlan {
+                        delay_spins: plan.delay_spins.min(MAX_PERTURB_SPINS),
+                        ..plan
                     }
                 }
+                None => SweepPlan {
+                    victim_seed: xorshift(&mut rng),
+                    delay_spins: 0,
+                },
+            };
+            for _ in 0..plan.delay_spins {
+                std::hint::spin_loop();
             }
-        } else {
-            // Flat randomized ring: the random-victim baseline the ablation runs.
-            let start = (plan.victim_seed % n as u64) as usize;
-            for k in 0..n {
-                let victim = (start + k) % n;
-                if victim == id {
-                    continue;
-                }
-                if let Some(c) = probe(victim, &mut saw_retry) {
-                    stolen = Some((c, victim));
-                    break;
-                }
-            }
-        }
-        match stolen {
-            Some((first, victim)) => {
-                let remote = record_hit(shared, id, victim);
-                let mut batch = [first; REMOTE_STEAL_BATCH];
-                let mut taken = 1;
-                // NUMA-tier chunk sizing: a cross-socket hit takes up to
-                // `REMOTE_STEAL_BATCH` chunks from the same victim in one bite,
-                // amortizing the interconnect transfer; local hits stay single-chunk.
-                if remote && shared.config.locality {
-                    while taken < REMOTE_STEAL_BATCH {
-                        match probe(victim, &mut saw_retry) {
-                            Some(c) => {
-                                record_hit(shared, id, victim);
-                                batch[taken] = c;
-                                taken += 1;
-                            }
-                            None => break,
+            parlo_trace::instant(parlo_trace::Phase::StealSweep, id as u64, attempt);
+            let mut saw_retry = false;
+            let stolen = self.sweep(id, epoch, attempt, plan.victim_seed, line, &mut saw_retry);
+            match stolen {
+                Some((first, victim)) => {
+                    let remote = self.record_hit(line, id, victim);
+                    let mut batch = [first; REMOTE_STEAL_BATCH];
+                    let mut taken = 1;
+                    // NUMA-tier chunk sizing: a cross-socket hit takes up to
+                    // `REMOTE_STEAL_BATCH` chunks from the same victim in one bite,
+                    // amortizing the interconnect transfer; local hits stay single-chunk.
+                    if remote && self.config.locality {
+                        while taken < REMOTE_STEAL_BATCH {
+                            let Some(c) = self.probe(line, victim, &mut saw_retry) else {
+                                break;
+                            };
+                            self.record_hit(line, id, victim);
+                            batch[taken] = c;
+                            taken += 1;
                         }
                     }
+                    batch[..taken].iter().copied().for_each(&mut execute);
                 }
-                for &c in &batch[..taken] {
-                    execute_chunk(shared, id, job, c);
-                }
+                // A Retry means another participant claimed a chunk concurrently (top
+                // moved under our CAS), so the loop is still live: sweep again.  Chunks
+                // are finite and never re-pushed, so this terminates.
+                None if saw_retry => continue,
+                // Every deque observed empty: all chunks are claimed, and each claimer
+                // executes its chunks before arriving — safe to arrive.
+                None => break,
             }
-            // A Retry means another participant claimed a chunk concurrently (top
-            // moved under our CAS), so the loop is still live: sweep again.  Chunks
-            // are finite and never re-pushed, so this terminates.
-            None if saw_retry => continue,
-            // Every deque observed empty: all chunks are claimed, and each claimer
-            // executes its chunks before arriving — safe to arrive.
-            None => break,
         }
+        line.rng.store(rng, Ordering::Relaxed);
     }
-}
 
-/// Records one successful steal on the thief's padded counter line, classifies it by
-/// tier distance, and emits the hit and tier instants.  Returns `true` for a
-/// cross-socket steal.
-#[inline]
-fn record_hit(shared: &StealShared, id: usize, victim: usize) -> bool {
-    let my_counters = &*shared.stats.per_worker[id];
-    my_counters.steals_hit.fetch_add(1, Ordering::Relaxed);
-    let remote = shared.socket_of[id] != shared.socket_of[victim];
-    if remote {
-        my_counters.remote_steals.fetch_add(1, Ordering::Relaxed);
-    } else {
-        my_counters.local_steals.fetch_add(1, Ordering::Relaxed);
-    }
-    parlo_trace::instant(parlo_trace::Phase::StealHit, id as u64, victim as u64);
-    parlo_trace::instant(parlo_trace::Phase::StealTier, id as u64, remote as u64);
-    remote
-}
-
-#[inline]
-fn execute_chunk(shared: &StealShared, id: usize, job: &StealJob, c: ChunkRange) {
-    shared.stats.per_worker[id]
-        .chunks
-        .fetch_add(1, Ordering::Relaxed);
-    // SAFETY: the sticky loop outlives the join; see `participate`.
-    if let Some(s) = unsafe { job.sticky.as_ref() } {
-        let k = (c.start - job.start) / job.chunk.max(1);
-        if let Some(slot) = s.exec.get(k) {
-            slot.store(id as u32, Ordering::Relaxed);
+    /// One steal sweep of participant `id`: the scripted victim order when the
+    /// perturbation hook supplies one, else the tiered or the flat ring order rotated
+    /// by `seed`.  Returns the first chunk stolen and its victim.
+    fn sweep(
+        &self,
+        id: usize,
+        epoch: Epoch,
+        attempt: u64,
+        seed: u64,
+        line: &ParticipantLine,
+        saw_retry: &mut bool,
+    ) -> Option<(ChunkRange, usize)> {
+        let n = self.deques.len();
+        let mut probe = |victim: usize| Some((self.probe(line, victim, saw_retry)?, victim));
+        let scripted = self.config.perturb.as_ref();
+        if let Some(order) = scripted.and_then(|p| p.victim_order(id, epoch, attempt, n)) {
+            // Scripted sweep: probe exactly the scripted victims, in order.
+            return order
+                .into_iter()
+                .filter(|&victim| victim != id && victim < n)
+                .find_map(probe);
         }
-    }
-    // SAFETY: contract of `run_job` — the harness outlives the loop.
-    unsafe { (job.run_chunk)(job.data, id, c.start, c.end) };
-}
-
-/// One leased worker's scheduling loop: resumes at the epoch stored on its last
-/// detach, and answers the detach cycle by arriving at its join phase (keeping the
-/// epoch accounting aligned) before parking back in the substrate.
-fn worker_body(shared: &StealShared, id: usize) {
-    let mut rng: u64 = victim_seed(id);
-    let mut epoch: Epoch = shared.worker_epochs[id].load(Ordering::Relaxed);
-    loop {
-        epoch += 1;
-        shared.sync.wait_release(id, epoch, &shared.policy);
-        if shared.detach.load(Ordering::Acquire) {
-            shared.sync.arrive(id, epoch, &shared.policy, |_| {});
-            shared.worker_epochs[id].store(epoch, Ordering::Relaxed);
-            return;
+        if self.config.locality {
+            // Tiered sweep: same-socket victims first (rotated within the tier), falling
+            // one socket outward only when every deque in the nearer tier came up dry.
+            return self.tiers[id].iter().enumerate().find_map(|(t, tier)| {
+                let rot = seed.rotate_right(t as u32 * 7) as usize % tier.len();
+                (0..tier.len()).find_map(|k| probe(tier[(rot + k) % tier.len()]))
+            });
         }
-        // SAFETY: ordered by the half-barrier release edge.
-        let job = unsafe { *shared.job.get() };
-        let has_combine = job.combine.is_some();
-        participate(shared, id, epoch, &job, &mut rng);
-        shared.sync.arrive(id, epoch, &shared.policy, |from| {
-            if has_combine {
-                shared.stats.combine_ops.fetch_add(1, Ordering::Relaxed);
-                parlo_trace::instant(parlo_trace::Phase::Combine, from as u64, 0);
-                if let Some(comb) = job.combine {
-                    // SAFETY: `from` has arrived; its view is final.
-                    unsafe { comb(job.data, id, from) };
-                }
+        // Flat randomized ring: the random-victim baseline the ablation runs.
+        let start = (seed % n as u64) as usize;
+        (0..n)
+            .map(|k| (start + k) % n)
+            .filter(|&victim| victim != id)
+            .find_map(probe)
+    }
+
+    /// Probes `victim`'s deque once.  The attempt is counted on the thief's own
+    /// padded line, so the per-probe bumps stay core-local even while every idle
+    /// worker sweeps; a lost race sets `saw_retry`.
+    #[inline]
+    fn probe(
+        &self,
+        line: &ParticipantLine,
+        victim: usize,
+        saw_retry: &mut bool,
+    ) -> Option<ChunkRange> {
+        line.steals_attempted.fetch_add(1, Ordering::Relaxed);
+        match self.deques[victim].steal() {
+            Steal::Success(c) => Some(c),
+            Steal::Retry => {
+                *saw_retry = true;
+                None
             }
-        });
+            Steal::Empty => None,
+        }
     }
-}
 
-// --------------------------------------------------------------------------------------
-// Typed loop entry points
-// --------------------------------------------------------------------------------------
-
-struct ForHarness<'a, F> {
-    body: &'a F,
-}
-
-unsafe fn exec_for_chunk<F: Fn(usize) + Sync>(
-    data: *const (),
-    _worker: usize,
-    lo: usize,
-    hi: usize,
-) {
-    // SAFETY: the master keeps the harness alive until its join completes.
-    let h = unsafe { &*(data as *const ForHarness<'_, F>) };
-    for i in lo..hi {
-        (h.body)(i);
+    /// Records one successful steal on the thief's padded line, classifies it by tier
+    /// distance, and emits the hit and tier instants.  Returns `true` for a
+    /// cross-socket steal.
+    #[inline]
+    fn record_hit(&self, line: &ParticipantLine, id: usize, victim: usize) -> bool {
+        line.steals_hit.fetch_add(1, Ordering::Relaxed);
+        let remote = self.socket_of[id] != self.socket_of[victim];
+        if remote {
+            line.remote_steals.fetch_add(1, Ordering::Relaxed);
+        } else {
+            line.local_steals.fetch_add(1, Ordering::Relaxed);
+        }
+        parlo_trace::instant(parlo_trace::Phase::StealHit, id as u64, victim as u64);
+        parlo_trace::instant(parlo_trace::Phase::StealTier, id as u64, remote as u64);
+        remote
     }
-}
-
-struct ReduceHarness<'a, T, Fold, Comb> {
-    views: Vec<CachePadded<UnsafeCell<Option<T>>>>,
-    fold: &'a Fold,
-    comb: &'a Comb,
-}
-
-unsafe fn exec_reduce_chunk<T, Fold, Comb>(data: *const (), worker: usize, lo: usize, hi: usize)
-where
-    T: Send,
-    Fold: Fn(T, usize) -> T + Sync,
-    Comb: Fn(T, T) -> T + Sync,
-{
-    // SAFETY: the master keeps the harness alive until its join completes.
-    let h = unsafe { &*(data as *const ReduceHarness<'_, T, Fold, Comb>) };
-    // SAFETY: view `worker` is accessed only by participant `worker` until it arrives.
-    let view = unsafe { &mut *h.views[worker].get() };
-    let mut acc = view.take().expect("view seeded with the neutral element");
-    for i in lo..hi {
-        acc = (h.fold)(acc, i);
-    }
-    *view = Some(acc);
-}
-
-unsafe fn combine_views<T, Fold, Comb>(data: *const (), to: usize, from: usize)
-where
-    T: Send,
-    Fold: Fn(T, usize) -> T + Sync,
-    Comb: Fn(T, T) -> T + Sync,
-{
-    // SAFETY: the master keeps the harness alive until its join completes.
-    let h = unsafe { &*(data as *const ReduceHarness<'_, T, Fold, Comb>) };
-    // SAFETY: the half-barrier guarantees `from` has arrived (its view is final) and
-    // that `to` is the unique combiner touching either view at this point.
-    let a = unsafe { (*h.views[to].get()).take().expect("to-view present") };
-    // SAFETY: same combiner-exclusivity argument as the take above.
-    let b = unsafe { (*h.views[from].get()).take().expect("from-view present") };
-    // SAFETY: same combiner-exclusivity argument as the take above.
-    unsafe { *h.views[to].get() = Some((h.comb)(a, b)) };
 }
 
 impl StealPool {
@@ -946,20 +733,15 @@ impl StealPool {
         if range.end <= range.start {
             return;
         }
-        let harness = ForHarness { body: &body };
-        self.shared.stats.loops.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the harness outlives the loop; `exec_for_chunk::<F>` matches its type.
-        unsafe {
-            self.run_job(StealJob {
-                data: &harness as *const _ as *const (),
-                run_chunk: exec_for_chunk::<F>,
-                combine: None,
-                start: range.start,
-                end: range.end,
-                chunk: chunk.max(1),
-                sticky: std::ptr::null(),
-            });
-        }
+        let chunk = chunk.max(1);
+        self.run_for(
+            &ChunkLoop {
+                range,
+                chunk,
+                sticky: None,
+            },
+            &body,
+        );
     }
 
     /// Work-stealing parallel reduction.  Every participant folds the chunks it
@@ -1002,31 +784,17 @@ impl StealPool {
         if range.end <= range.start {
             return init();
         }
-        let harness = ReduceHarness {
-            views: (0..self.num_threads())
-                .map(|_| CachePadded::new(UnsafeCell::new(Some(init()))))
-                .collect(),
-            fold: &fold,
-            comb: &comb,
-        };
-        self.shared.stats.loops.fetch_add(1, Ordering::Relaxed);
-        self.shared.stats.reductions.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the harness outlives the loop; the entry points match its type.
-        unsafe {
-            self.run_job(StealJob {
-                data: &harness as *const _ as *const (),
-                run_chunk: exec_reduce_chunk::<T, Fold, Comb>,
-                combine: Some(combine_views::<T, Fold, Comb>),
-                start: range.start,
-                end: range.end,
-                chunk: chunk.max(1),
-                sticky: std::ptr::null(),
-            });
-        }
-        // After the join the master's view holds the full fold.
-        // SAFETY: the join completed, so no participant touches any view.
-        let result = unsafe { (*harness.views[0].get()).take() };
-        result.expect("master view present after the join phase")
+        let chunk = chunk.max(1);
+        self.run_reduce(
+            &ChunkLoop {
+                range,
+                chunk,
+                sticky: None,
+            },
+            init,
+            fold,
+            comb,
+        )
     }
 
     /// [`StealPool::steal_for`] keyed by a loop [`StealSite`], with **sticky
@@ -1058,23 +826,14 @@ impl StealPool {
             return;
         }
         let chunk = chunk.max(1);
-        let (sticky_loop, hit) = self.prepare_sticky(site, &range, chunk);
-        let harness = ForHarness { body: &body };
-        self.shared.stats.loops.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the harness and the sticky state outlive the loop (both live on
-        // this frame until past `run_job`'s join); the entry point matches the type.
-        unsafe {
-            self.run_job(StealJob {
-                data: &harness as *const _ as *const (),
-                run_chunk: exec_for_chunk::<F>,
-                combine: None,
-                start: range.start,
-                end: range.end,
-                chunk,
-                sticky: &sticky_loop,
-            });
-        }
-        self.finish_sticky(site, &range, chunk, sticky_loop, hit);
+        let (sticky, hit) = self.prepare_sticky(site, &range, chunk);
+        let job = ChunkLoop {
+            range: range.clone(),
+            chunk,
+            sticky: Some(&sticky),
+        };
+        self.run_for(&job, &body);
+        self.finish_sticky(site, &range, chunk, sticky, hit);
     }
 
     /// [`StealPool::steal_reduce`] keyed by a loop [`StealSite`] — sticky affinity
@@ -1117,33 +876,15 @@ impl StealPool {
             return init();
         }
         let chunk = chunk.max(1);
-        let (sticky_loop, hit) = self.prepare_sticky(site, &range, chunk);
-        let harness = ReduceHarness {
-            views: (0..self.num_threads())
-                .map(|_| CachePadded::new(UnsafeCell::new(Some(init()))))
-                .collect(),
-            fold: &fold,
-            comb: &comb,
+        let (sticky, hit) = self.prepare_sticky(site, &range, chunk);
+        let job = ChunkLoop {
+            range: range.clone(),
+            chunk,
+            sticky: Some(&sticky),
         };
-        self.shared.stats.loops.fetch_add(1, Ordering::Relaxed);
-        self.shared.stats.reductions.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the harness and the sticky state outlive the loop; the entry
-        // points match the harness type.
-        unsafe {
-            self.run_job(StealJob {
-                data: &harness as *const _ as *const (),
-                run_chunk: exec_reduce_chunk::<T, Fold, Comb>,
-                combine: Some(combine_views::<T, Fold, Comb>),
-                start: range.start,
-                end: range.end,
-                chunk,
-                sticky: &sticky_loop,
-            });
-        }
-        self.finish_sticky(site, &range, chunk, sticky_loop, hit);
-        // SAFETY: the join completed, so no participant touches any view.
-        let result = unsafe { (*harness.views[0].get()).take() };
-        result.expect("master view present after the join phase")
+        let result = self.run_reduce(&job, init, fold, comb);
+        self.finish_sticky(site, &range, chunk, sticky, hit);
+        result
     }
 
     /// Installs an explicit chunk→worker assignment for `site`, as if a previous
@@ -1165,7 +906,7 @@ impl StealPool {
             "one owner per grid chunk"
         );
         assert!(
-            owners.iter().all(|&w| w < self.shared.nthreads),
+            owners.iter().all(|&w| w < self.num_threads()),
             "owner out of range"
         );
         self.sticky.remember(
@@ -1193,7 +934,8 @@ impl StealPool {
         chunk: usize,
     ) -> (StickyLoop, bool) {
         let nchunks = grid_chunks(range, chunk);
-        let stats = &self.shared.stats;
+        let nthreads = self.num_threads();
+        let stats = &self.dispenser.counters;
         stats.sticky_loops.fetch_add(1, Ordering::Relaxed);
         let (owners, hit) = match self.sticky.lookup(site, range.start, range.end, chunk) {
             Some(Ok(owners)) => {
@@ -1202,9 +944,9 @@ impl StealPool {
             }
             Some(Err(())) => {
                 stats.sticky_invalidations.fetch_add(1, Ordering::Relaxed);
-                (balanced_owners(nchunks, self.shared.nthreads), false)
+                (balanced_owners(nchunks, nthreads), false)
             }
-            None => (balanced_owners(nchunks, self.shared.nthreads), false),
+            None => (balanced_owners(nchunks, nthreads), false),
         };
         let exec = (0..nchunks).map(|_| AtomicU32::new(u32::MAX)).collect();
         (StickyLoop { owners, exec }, hit)
@@ -1237,7 +979,7 @@ impl StealPool {
             })
             .collect();
         if hit {
-            let stats = &self.shared.stats;
+            let stats = &self.dispenser.counters;
             let reused = exec
                 .iter()
                 .zip(&sticky.owners)

@@ -236,10 +236,15 @@ fn stealing_runtime_accounts_every_chunk_and_steal_on_irregular_workloads() {
             irregular::triangular_sequential(n)
         );
         let d = pool.stats().since(&before);
-        assert_eq!(d.loops, 2, "{sockets}x{cores}");
-        assert_eq!(d.reductions, 2);
-        assert_eq!(d.barrier_phases, 4, "one half-barrier per loop");
-        assert_eq!(d.combine_ops, 2 * (threads as u64 - 1), "P-1 combines each");
+        // The engine's loop/phase/combine counters read zero in a `stats-off` build;
+        // the chunk and steal accounting below is the dispenser's own.
+        #[cfg(not(feature = "stats-off"))]
+        {
+            assert_eq!(d.loops, 2, "{sockets}x{cores}");
+            assert_eq!(d.reductions, 2);
+            assert_eq!(d.barrier_phases, 4, "one half-barrier per loop");
+            assert_eq!(d.combine_ops, 2 * (threads as u64 - 1), "P-1 combines each");
+        }
         assert_eq!(
             d.chunks_executed(),
             2 * total_chunks(&(0..n), threads, 9),

@@ -249,44 +249,55 @@ fn full_queue_rejects_try_submit_without_losing_accepted_jobs() {
     assert_eq!(stats.completed, 1 + accepted.len() as u64);
 }
 
+/// (d) Lease churn: servers of the given gang sizes come and go on one long-lived
+/// executor, interleaved with checked submissions.  Partition leases are carved,
+/// activated, revoked and re-carved over the same worker ids every round — any stale
+/// activation, worker-id overlap or epoch desync across the churn breaks exactness,
+/// panics the overlap guard, or hangs the drop.
+fn churn_gangs(gang_sizes: &[usize], iters: usize) {
+    let _guard = census_lock();
+    let cores = pinned_threads();
+    let executor = executor(cores);
+    for (round, g) in gang_sizes.iter().enumerate() {
+        let server = Server::on_executor(
+            ServeConfig::default().with_gang(GangSizing::Fixed(*g)),
+            &executor,
+        );
+        for t in 0..3u64 {
+            let n = iters + round + t as usize;
+            let handle = server
+                .submit(LoopRequest::sum(LoopSite::new(t), 0..n, |i| i as f64))
+                .expect("server accepts while alive");
+            assert_eq!(handle.wait(), expected_sum(n));
+        }
+        let stats = server.stats();
+        assert_eq!(stats.completed, 3);
+        drop(server);
+        assert!(
+            executor.stats().active.is_empty(),
+            "round {round} (gang size {g}) leaked an activation"
+        );
+    }
+    assert!(executor.stats().workers < cores);
+}
+
+/// The lease-churn input that once leaked an activation past `drop(server)`: a
+/// substrate worker kept the last clone of a gang's body (and with it the gang's
+/// pool and lease) alive after the lease was dropped.
+#[test]
+fn lease_churn_regression_gang_sizes_2_4_3() {
+    churn_gangs(&[2, 4, 3], 178);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// (d) Lease churn: servers of proptest-chosen gang sizes come and go on one
-    /// long-lived executor, interleaved with checked submissions.  Partition leases
-    /// are carved, activated, revoked and re-carved over the same worker ids every
-    /// round — any stale activation, worker-id overlap or epoch desync across the
-    /// churn breaks exactness, panics the overlap guard, or hangs the drop.
+    /// (d) Lease churn over proptest-chosen gang sizes (see [`churn_gangs`]).
     #[test]
     fn lease_churn_across_gang_sizes_preserves_results(
         gang_sizes in proptest::collection::vec(1usize..5, 1..6),
         iters in 64usize..512,
     ) {
-        let _guard = census_lock();
-        let cores = pinned_threads();
-        let executor = executor(cores);
-        for (round, g) in gang_sizes.iter().enumerate() {
-            let server = Server::on_executor(
-                ServeConfig::default().with_gang(GangSizing::Fixed(*g)),
-                &executor,
-            );
-            for t in 0..3u64 {
-                let n = iters + round + t as usize;
-                let handle = server
-                    .submit(LoopRequest::sum(LoopSite::new(t), 0..n, |i| i as f64))
-                    .expect("server accepts while alive");
-                prop_assert_eq!(handle.wait(), expected_sum(n));
-            }
-            let stats = server.stats();
-            prop_assert_eq!(stats.completed, 3);
-            drop(server);
-            prop_assert!(
-                executor.stats().active.is_empty(),
-                "round {} (gang size {}) leaked an activation",
-                round,
-                g
-            );
-        }
-        prop_assert!(executor.stats().workers < cores);
+        churn_gangs(&gang_sizes, iters);
     }
 }
