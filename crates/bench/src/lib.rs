@@ -734,7 +734,7 @@ pub struct StealStatsRow {
     pub scheduler: String,
     /// Steal attempts over the whole measurement run.
     pub steals_attempted: u64,
-    /// Successful steals.
+    /// Successful chunk steals.
     pub steals_hit: u64,
     /// Successful steals from a victim on the thief's own socket.
     pub local_steals: u64,
@@ -744,6 +744,10 @@ pub struct StealStatsRow {
     pub chunks_executed: u64,
     /// Chunks executed by each participant (index 0 is the master).
     pub chunks_per_worker: Vec<u64>,
+    /// Pieces pushed by lazy splitting of stolen ranges.
+    pub splits: u64,
+    /// Pieces taken by a thief.
+    pub split_steals: u64,
 }
 
 impl StealStatsRow {
@@ -757,6 +761,8 @@ impl StealStatsRow {
             remote_steals: stats.remote_steals,
             chunks_executed: stats.chunks_executed(),
             chunks_per_worker: stats.chunks_per_worker.clone(),
+            splits: stats.splits,
+            split_steals: stats.split_steals,
         }
     }
 }
@@ -860,7 +866,8 @@ pub fn read_json_report(path: &str) -> std::io::Result<BenchReport> {
             }
         }
         // The steal rows themselves also grew fields (`local_steals`,
-        // `remote_steals`); patch older rows with zero counters the same way.
+        // `remote_steals`, `splits`, `split_steals`); patch older rows with zero
+        // counters the same way.
         if let Some(serde::Value::Seq(rows)) = entries
             .iter_mut()
             .find(|(k, _)| k == "steal")
@@ -868,7 +875,7 @@ pub fn read_json_report(path: &str) -> std::io::Result<BenchReport> {
         {
             for row in rows {
                 if let serde::Value::Map(fields) = row {
-                    for key in ["local_steals", "remote_steals"] {
+                    for key in ["local_steals", "remote_steals", "splits", "split_steals"] {
                         if !fields.iter().any(|(k, _)| k == key) {
                             fields.push((key.to_string(), serde::Value::U64(0)));
                         }
@@ -1398,8 +1405,8 @@ mod tests {
             "missing workload defaults to micro"
         );
 
-        // Steal rows written before the local/remote tier counters existed parse
-        // with those counters defaulted to zero.
+        // Steal rows written before the local/remote tier and split counters
+        // existed parse with those counters defaulted to zero.
         let mid = r#"{"bench":"sweep","threads":4,"workload":"micro","burdens":[],
             "points":[],"serve":[],"steal":[{"scheduler":"fine-grain-steal",
             "steals_attempted":9,"steals_hit":4,"chunks_executed":32,
@@ -1412,6 +1419,8 @@ mod tests {
         assert_eq!(report.steal[0].steals_hit, 4);
         assert_eq!(report.steal[0].local_steals, 0);
         assert_eq!(report.steal[0].remote_steals, 0);
+        assert_eq!(report.steal[0].splits, 0);
+        assert_eq!(report.steal[0].split_steals, 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1465,6 +1474,8 @@ mod tests {
             remote_steals: 2,
             chunks_executed: 64,
             chunks_per_worker: vec![40, 12, 8, 4],
+            splits: 9,
+            split_steals: 3,
         });
         let json = serde_json::to_string(&report).expect("serialize");
         let back: BenchReport = serde_json::from_str(&json).expect("parse");

@@ -224,6 +224,31 @@ fn detach_workers(shared: &EngineShared) {
     shared.in_loop.store(false, Ordering::Relaxed);
 }
 
+/// Completes the join of a loop whose master share is unwinding: waits for every
+/// worker to arrive (they still read the harness on the unwinding frame), skips the
+/// master's combines, and releases the engine for the next loop.  Armed around the
+/// master's share only; the normal path forgets it.
+struct JoinOnUnwind<'a> {
+    shared: &'a EngineShared,
+    epoch: Epoch,
+}
+
+impl Drop for JoinOnUnwind<'_> {
+    fn drop(&mut self) {
+        finish_unwound_loop(self.shared, self.epoch);
+    }
+}
+
+/// The body of [`JoinOnUnwind`], kept out of line so that the unwind path of
+/// [`LoopEngine::run`] is a single call.
+#[cold]
+#[inline(never)]
+fn finish_unwound_loop(shared: &EngineShared, epoch: Epoch) {
+    shared.sync.master_join(epoch, &shared.policy, |_| {});
+    parlo_trace::span_end(parlo_trace::Phase::Loop);
+    shared.in_loop.store(false, Ordering::Relaxed);
+}
+
 /// One leased worker's scheduling loop: resumes at the epoch stored on its last
 /// detach, serves loop after loop, and parks back in the substrate when the engine's
 /// detach hook fires (completing the detach cycle's join phase first so the epoch
@@ -340,7 +365,9 @@ impl LoopEngine {
     /// merged reduction) plus the loop's barrier phases.
     ///
     /// # Panics
-    /// When another thread is driving this engine at the same time.
+    /// When another thread is driving this engine at the same time.  A panic in the
+    /// master's own share propagates to the caller after the workers have arrived at
+    /// the join (the master combines no views), and the engine stays usable.
     pub fn run<H: Harness>(&self, harness: H) {
         let shared = &*self.shared;
         // Claim the engine before touching any loop state: a second driver racing this
@@ -370,9 +397,13 @@ impl LoopEngine {
         // returns only after every participant has arrived at the join.
         unsafe { shared.slot.publish(Job::of(&harness)) };
         shared.sync.master_fork(epoch, &shared.policy);
+        // Declared after `harness`, so on unwind it drops first: the workers still
+        // read the harness until their join arrives.
+        let unwind = JoinOnUnwind { shared, epoch };
         // SAFETY: the master is participant 0 and runs its share once; the workers
         // run only their own ids.
         unsafe { harness.execute(0, epoch) };
+        std::mem::forget(unwind);
         shared.sync.master_join(epoch, &shared.policy, |from| {
             if combines {
                 shared.record_combine(from);

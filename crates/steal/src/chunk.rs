@@ -11,9 +11,11 @@
 use parlo_core::static_block;
 use std::ops::Range;
 
-/// The number of chunks the default chunk size aims to give every worker: enough for
-/// thieves to rebalance a skewed run, few enough that the deque traffic stays a small
-/// fraction of the loop (the same 8-per-worker target as the Cilkplus grain heuristic).
+/// The number of chunks the default chunk size aims to give every worker (the same
+/// 8-per-worker target as the Cilkplus grain heuristic).  It is only the *seeding*
+/// granularity: a stolen chunk is split lazily, so rebalancing a skewed run does not
+/// depend on the chunks being small, and few chunks keep the deque traffic of an
+/// unstolen run a small fraction of the loop.
 pub const CHUNKS_PER_WORKER: usize = 8;
 
 /// Upper bound on the default chunk size (mirrors the Cilkplus grain cap).

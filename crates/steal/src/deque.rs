@@ -2,8 +2,9 @@
 //! from task descriptors to loop-chunk ranges.
 //!
 //! `crates/cilk/src/deque.rs` implements the deque over any `Copy` item; the stealing
-//! runtime instantiates it with [`ChunkRange`] so a whole contiguous run of iterations
-//! travels in one steal.  The owner pushes its pre-split run back-to-front and pops
+//! runtime instantiates it with a contiguous run of iterations, so a whole run travels
+//! in one steal ([`ChunkDeque`] over [`ChunkRange`]; the pool's own deques carry the
+//! same range plus a private flag marking the pieces split off stolen ranges).  The owner pushes its pre-split run back-to-front and pops
 //! **LIFO** (executing the run front to back, cache-friendly); thieves steal **FIFO**
 //! from the top, i.e. the *back* of the run — the two ends never contend except on the
 //! last remaining chunk, where the Chase–Lev CAS arbitrates.

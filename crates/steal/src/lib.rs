@@ -13,6 +13,9 @@
 //!   **owner-LIFO** pops (front to back through the block — cache friendly), while
 //!   exhausted workers take chunks **thief-FIFO** from the back of randomized victims'
 //!   runs, so skewed iteration costs rebalance without a shared dispenser;
+//! * a stolen chunk is split lazily: its thief pushes the back half as a stealable
+//!   *piece* whenever its own deque is empty, so one heavy chunk is shared rather
+//!   than run whole (site-keyed sticky loops excepted, see [`StealConfig::chunk`]);
 //! * loop completion is detected by the **same half-barrier engine** as the
 //!   fine-grain pool: a [`StealPool`] is `parlo-core`'s [`parlo_core::LoopEngine`]
 //!   (job slot, epochs, detach cycle, lease, hierarchical socket-composed barrier,
@@ -34,8 +37,9 @@
 //! The schedule is nondeterministic by nature, so the crate also exposes the hooks the
 //! test battery is built on: [`SchedulePerturbation`] lets a test drive the pool
 //! through seeded steal schedules (and [`ScriptedOrder`] scripts exact victim visit
-//! orders), and [`StealStats`] accounts every chunk (per worker) and every steal
-//! attempt/hit — split into local and remote — so "no chunk lost or duplicated" is
+//! orders), and [`StealStats`] accounts every chunk (per worker), every steal
+//! attempt/hit — split into local and remote — and every piece split off and stolen,
+//! so "no chunk lost or duplicated" is
 //! checkable exactly.  Its loop/reduction/phase/combine counts are the engine's, so a
 //! `parlo-core/stats-off` build reads them as zero; the steal and sticky counters are
 //! the dispenser's own and stay live.

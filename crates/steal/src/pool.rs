@@ -9,22 +9,32 @@
 //!    half-barrier — it never waits at the fork point;
 //! 2. every participant seeds its own deque with its pre-split chunk run
 //!    (its static block subdivided into chunks, pushed back-to-front) and executes it
-//!    with owner-LIFO pops, so the run proceeds front to back;
-//! 3. a participant whose own run is exhausted performs randomized-victim steal sweeps,
-//!    taking chunks thief-FIFO from the *back* of other workers' runs, until a full
-//!    sweep observes only empty deques;
+//!    with owner-LIFO pops, so the run proceeds front to back; a chunk popped from the
+//!    own run always executes whole;
+//! 3. a participant whose own deque is empty performs randomized-victim steal sweeps,
+//!    taking items thief-FIFO from the *back* of other workers' deques, until a full
+//!    sweep observes only empty deques.  A stolen range runs under **lazy binary
+//!    splitting** (Tzannes et al., PPoPP 2010): one iteration at a time, and before
+//!    each one, if the thief's own deque is empty, the back half is pushed onto that
+//!    deque as a *piece* any participant can steal (and split again).  Splitting
+//!    stops once half of what is left, estimated at the range's first iteration's
+//!    cost, is too little work to repay a steal.  A heavy stolen tail is thus shared
+//!    instead of run whole, while a loop with no steals never splits.  Site-keyed (sticky) loops are the
+//!    exception: their stolen chunks run whole, so every chunk keeps one executor
+//!    for the affinity record;
 //! 4. every participant then performs the **join phase** of the same half-barrier,
 //!    folding reduction views pairwise on the way up — completion detection costs
 //!    exactly the 2 barrier phases of the fine-grain pool, so the burden comparison
 //!    with the other runtimes stays apples-to-apples.
 //!
-//! Completion needs no outstanding-iteration counter: chunks exist only in deques
-//! (filled once per loop, never refilled), a participant arrives at the join only
-//! after every deque it can see is empty, and whoever claimed a chunk executes it
-//! before arriving — so when the master's join completes, every chunk has run.
+//! Completion needs no outstanding-iteration counter.  Chunks enter the deques only
+//! at seeding; pieces are pushed by a participant only onto its *own* deque and only
+//! before it arrives, and a participant drains its own deque (pop before every
+//! sweep) before it arrives.  Whoever claims a chunk or a piece executes it before
+//! arriving — so when the master's join completes, every iteration has run once.
 
 use crate::chunk::{assigned_run_rev, default_chunk, grid_chunks, worker_run_rev, ChunkRange};
-use crate::deque::ChunkDeque;
+use crate::deque::WorkStealingDeque;
 use crate::perturb::{SchedulePerturbation, SweepPlan, MAX_PERTURB_SPINS};
 use crate::sticky::{balanced_owners, StealSite, StickyEntry, StickyLoop, StickyTable};
 use crossbeam::utils::CachePadded;
@@ -36,6 +46,7 @@ use parlo_exec::Executor;
 use parlo_sync::{AtomicU32, AtomicU64, Ordering};
 use std::ops::Range;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// How many chunks a successful **cross-socket** steal takes from its victim in one
 /// bite (when the pool is locality-aware): the thief pays the interconnect transfer
@@ -43,6 +54,13 @@ use std::sync::Arc;
 /// chunk sizing of the locality design — local steals keep taking single chunks, so
 /// rebalancing granularity inside a socket stays fine.
 pub const REMOTE_STEAL_BATCH: usize = 2;
+
+/// The least work, in nanoseconds, a piece must be estimated to hold for lazy
+/// splitting to push it: a few times what handing one piece to a thief costs (the
+/// push, the thief's sweep and its CAS on the owner's deque, each a cache-line
+/// transfer).  Smaller pieces would pass between idle participants for longer than
+/// running them in place takes.
+const MIN_PIECE_NANOS: u64 = 2_000;
 
 /// Configuration of a [`StealPool`].
 #[derive(Clone)]
@@ -60,6 +78,10 @@ pub struct StealConfig {
     pub hierarchical: bool,
     /// Explicit chunk size for every loop; `None` derives one per loop from
     /// [`default_chunk`].
+    ///
+    /// Derived or explicit, the chunk size is the seeding granularity and the unit
+    /// of a first steal; a thief splits what it stole lazily (see the module docs),
+    /// except in site-keyed sticky loops, whose stolen chunks run whole.
     pub chunk: Option<usize>,
     /// Order steal sweeps socket-local-first over the topology's victim tiers
     /// (randomized within each tier, falling outward only when the current tier is
@@ -175,8 +197,9 @@ parlo_core::stats_family! {
         pub combine_ops: u64,
         /// Steal attempts (successful or not).
         pub steals_attempted: u64,
-        /// Successful steals; every hit transfers exactly one chunk, so this is also
-        /// the number of chunks executed away from their pre-split owner.
+        /// Successful chunk steals; every hit transfers exactly one pre-split chunk,
+        /// so this is also the number of chunks executed away from their pre-split
+        /// owner.  Piece steals are counted in `split_steals` instead.
         pub steals_hit: u64,
         /// Successful steals whose victim shares the thief's socket
         /// (`local_steals + remote_steals == steals_hit`).
@@ -198,9 +221,15 @@ parlo_core::stats_family! {
         pub sticky_chunks_reused: u64,
         /// Grid chunks executed in sticky-hit loops — the affinity-reuse denominator.
         pub sticky_chunks_total: u64,
-        /// Chunks executed by each participant (index 0 is the master).  The sum
-        /// equals the pre-split chunk count of every loop executed — the
-        /// exact-coverage account.
+        /// Pieces pushed by lazy binary splitting of stolen ranges (zero for
+        /// site-keyed loops).
+        pub splits: u64,
+        /// Pieces taken by a thief (`split_steals <= splits`); a piece steal takes one
+        /// piece, never a remote batch.
+        pub split_steals: u64,
+        /// Pre-split chunks claimed by each participant (index 0 is the master);
+        /// pieces are not counted.  The sum equals the pre-split chunk count of
+        /// every loop executed — the exact-coverage account.
         pub chunks_per_worker: Vec<u64>,
     }
 }
@@ -235,6 +264,8 @@ struct ParticipantLine {
     steals_hit: AtomicU64,
     local_steals: AtomicU64,
     remote_steals: AtomicU64,
+    splits: AtomicU64,
+    split_steals: AtomicU64,
 }
 
 /// The stealing-specific counters (relaxed atomics); the loop, reduction, phase and
@@ -295,6 +326,8 @@ impl StealCounters {
             steals_hit: sum(|w| &w.steals_hit),
             local_steals: sum(|w| &w.local_steals),
             remote_steals: sum(|w| &w.remote_steals),
+            splits: sum(|w| &w.splits),
+            split_steals: sum(|w| &w.split_steals),
             chunks_per_worker: self
                 .lines
                 .iter()
@@ -304,10 +337,17 @@ impl StealCounters {
     }
 }
 
+/// One deque item: a pre-split chunk, or a piece split off a stolen range.
+#[derive(Clone, Copy)]
+struct Work {
+    range: ChunkRange,
+    piece: bool,
+}
+
 /// What only stealing needs, shared with every participant through the loop
 /// harness: the deques, the victim tiers and the per-participant lines.
 struct Dispenser {
-    deques: Vec<ChunkDeque>,
+    deques: Vec<WorkStealingDeque<Work>>,
     counters: StealCounters,
     /// `socket_of[w]` = socket of participant `w` under the compact layout; used to
     /// classify every steal hit as local or remote (in both sweep modes).
@@ -327,6 +367,17 @@ struct ChunkLoop<'a> {
     range: Range<usize>,
     chunk: usize,
     sticky: Option<&'a StickyLoop>,
+}
+
+impl ChunkLoop<'_> {
+    /// A loop without a site key, or `None` for an empty range.
+    fn plain(range: Range<usize>, chunk: usize) -> Option<Self> {
+        (range.start < range.end).then(|| ChunkLoop {
+            range,
+            chunk: chunk.max(1),
+            sticky: None,
+        })
+    }
 }
 
 /// The work-stealing chunk scheduler.
@@ -440,7 +491,9 @@ impl StealPool {
         );
         let nthreads = engine.num_threads();
         let dispenser = Dispenser {
-            deques: (0..nthreads).map(|_| ChunkDeque::new(1024)).collect(),
+            deques: (0..nthreads)
+                .map(|_| WorkStealingDeque::new(1024))
+                .collect(),
             counters: StealCounters::new(nthreads),
             socket_of: (0..nthreads)
                 .map(|w| config.topology.socket_of_worker(w))
@@ -538,7 +591,7 @@ impl Dispenser {
     /// One participant's share of one loop: seed the own deque with the pre-split run
     /// (or the sticky assignment of a site-keyed loop), drain it LIFO, then steal FIFO
     /// from victims — socket-local tiers first when the pool is locality-aware — until
-    /// a full sweep finds every deque empty.  `run` executes one chunk.
+    /// a full sweep finds every deque empty.  `run` executes a range of iterations.
     fn participate(
         &self,
         id: usize,
@@ -549,23 +602,38 @@ impl Dispenser {
         let n = self.deques.len();
         let deque = &self.deques[id];
         let line = &*self.counters.lines[id];
-        let mut execute = |c: ChunkRange| {
-            line.chunks.fetch_add(1, Ordering::Relaxed);
-            if let Some(s) = job.sticky {
-                let k = (c.start - job.range.start) / job.chunk;
-                if let Some(slot) = s.exec.get(k) {
-                    slot.store(id as u32, Ordering::Relaxed);
+        // Runs one claimed item.  A pre-split chunk is accounted to its claimer; a
+        // stolen item, or a piece (only ever split off a stolen range), runs under
+        // lazy binary splitting unless the loop is site-keyed.
+        let mut execute = |w: Work, stolen: bool| {
+            if !w.piece {
+                line.chunks.fetch_add(1, Ordering::Relaxed);
+                if let Some(s) = job.sticky {
+                    let k = (w.range.start - job.range.start) / job.chunk;
+                    if let Some(slot) = s.exec.get(k) {
+                        slot.store(id as u32, Ordering::Relaxed);
+                    }
                 }
             }
-            run(c);
+            if job.sticky.is_none() && (stolen || w.piece) {
+                split_lazily(deque, line, w.range, &mut run);
+            } else {
+                run(w.range);
+            }
         };
+        // A panic in `run` must not leave items behind for the next loop to inherit.
+        let drain = DrainOnUnwind(deque);
         // Seed the own run, back to front, so owner-LIFO pops execute it front to back
         // and thieves take from the back.  A full deque (pathologically small explicit
         // chunk size) degrades gracefully: the overflowing chunk runs inline right away.
-        let seed = |c: ChunkRange| {
+        let seed = |range: ChunkRange| {
+            let w = Work {
+                range,
+                piece: false,
+            };
             // SAFETY: deque `id` is owned by this participant.
-            if unsafe { deque.push(c) }.is_err() {
-                execute(c);
+            if unsafe { deque.push(w) }.is_err() {
+                execute(w, false);
             }
         };
         match job.sticky {
@@ -575,10 +643,10 @@ impl Dispenser {
         let mut rng = line.rng.load(Ordering::Relaxed);
         let mut attempt: u64 = 0;
         loop {
-            // Own run first (LIFO pop = front-to-back execution order).
+            // Own deque first (LIFO pop = front-to-back execution order).
             // SAFETY: deque `id` is owned by this participant.
-            if let Some(c) = unsafe { deque.pop() } {
-                execute(c);
+            if let Some(w) = unsafe { deque.pop() } {
+                execute(w, false);
                 continue;
             }
             if n == 1 {
@@ -607,39 +675,45 @@ impl Dispenser {
             let stolen = self.sweep(id, epoch, attempt, plan.victim_seed, line, &mut saw_retry);
             match stolen {
                 Some((first, victim)) => {
-                    let remote = self.record_hit(line, id, victim);
                     let mut batch = [first; REMOTE_STEAL_BATCH];
                     let mut taken = 1;
-                    // NUMA-tier chunk sizing: a cross-socket hit takes up to
-                    // `REMOTE_STEAL_BATCH` chunks from the same victim in one bite,
-                    // amortizing the interconnect transfer; local hits stay single-chunk.
-                    if remote && self.config.locality {
+                    // NUMA-tier chunk sizing: a cross-socket chunk hit takes up to
+                    // `REMOTE_STEAL_BATCH` items from the same victim in one bite,
+                    // amortizing the interconnect transfer; local hits and piece
+                    // steals stay single-item.
+                    if self.record_hit(line, id, victim, first.piece) && self.config.locality {
                         while taken < REMOTE_STEAL_BATCH {
-                            let Some(c) = self.probe(line, victim, &mut saw_retry) else {
+                            let Some(w) = self.probe(line, victim, &mut saw_retry) else {
                                 break;
                             };
-                            self.record_hit(line, id, victim);
-                            batch[taken] = c;
+                            self.record_hit(line, id, victim, w.piece);
+                            batch[taken] = w;
                             taken += 1;
+                            if w.piece {
+                                // The victim has drained its chunks: this is its piece.
+                                break;
+                            }
                         }
                     }
-                    batch[..taken].iter().copied().for_each(&mut execute);
+                    batch[..taken].iter().for_each(|&w| execute(w, true));
                 }
-                // A Retry means another participant claimed a chunk concurrently (top
+                // A Retry means another participant claimed an item concurrently (top
                 // moved under our CAS), so the loop is still live: sweep again.  Chunks
-                // are finite and never re-pushed, so this terminates.
+                // are finite and pieces strictly shrink, so this terminates.
                 None if saw_retry => continue,
-                // Every deque observed empty: all chunks are claimed, and each claimer
-                // executes its chunks before arriving — safe to arrive.
+                // Every deque observed empty: every item is claimed, and each claimer
+                // executes (and drains the pieces of) its items before arriving —
+                // safe to arrive.
                 None => break,
             }
         }
+        std::mem::forget(drain);
         line.rng.store(rng, Ordering::Relaxed);
     }
 
     /// One steal sweep of participant `id`: the scripted victim order when the
     /// perturbation hook supplies one, else the tiered or the flat ring order rotated
-    /// by `seed`.  Returns the first chunk stolen and its victim.
+    /// by `seed`.  Returns the first item stolen and its victim.
     fn sweep(
         &self,
         id: usize,
@@ -648,7 +722,7 @@ impl Dispenser {
         seed: u64,
         line: &ParticipantLine,
         saw_retry: &mut bool,
-    ) -> Option<(ChunkRange, usize)> {
+    ) -> Option<(Work, usize)> {
         let n = self.deques.len();
         let mut probe = |victim: usize| Some((self.probe(line, victim, saw_retry)?, victim));
         let scripted = self.config.perturb.as_ref();
@@ -679,12 +753,7 @@ impl Dispenser {
     /// padded line, so the per-probe bumps stay core-local even while every idle
     /// worker sweeps; a lost race sets `saw_retry`.
     #[inline]
-    fn probe(
-        &self,
-        line: &ParticipantLine,
-        victim: usize,
-        saw_retry: &mut bool,
-    ) -> Option<ChunkRange> {
+    fn probe(&self, line: &ParticipantLine, victim: usize, saw_retry: &mut bool) -> Option<Work> {
         line.steals_attempted.fetch_add(1, Ordering::Relaxed);
         match self.deques[victim].steal() {
             Steal::Success(c) => Some(c),
@@ -696,11 +765,17 @@ impl Dispenser {
         }
     }
 
-    /// Records one successful steal on the thief's padded line, classifies it by tier
-    /// distance, and emits the hit and tier instants.  Returns `true` for a
-    /// cross-socket steal.
+    /// Records one successful steal on the thief's padded line and emits its hit
+    /// instant.  A piece steal counts in `split_steals` only; a chunk steal is also
+    /// classified by tier distance, with its tier instant.  Returns `true` for a
+    /// cross-socket chunk steal.
     #[inline]
-    fn record_hit(&self, line: &ParticipantLine, id: usize, victim: usize) -> bool {
+    fn record_hit(&self, line: &ParticipantLine, id: usize, victim: usize, piece: bool) -> bool {
+        parlo_trace::instant(parlo_trace::Phase::StealHit, id as u64, victim as u64);
+        if piece {
+            line.split_steals.fetch_add(1, Ordering::Relaxed);
+            return false;
+        }
         line.steals_hit.fetch_add(1, Ordering::Relaxed);
         let remote = self.socket_of[id] != self.socket_of[victim];
         if remote {
@@ -708,9 +783,67 @@ impl Dispenser {
         } else {
             line.local_steals.fetch_add(1, Ordering::Relaxed);
         }
-        parlo_trace::instant(parlo_trace::Phase::StealHit, id as u64, victim as u64);
         parlo_trace::instant(parlo_trace::Phase::StealTier, id as u64, remote as u64);
         remote
+    }
+}
+
+/// Runs a stolen range (or a piece of one) under lazy binary splitting.  The first
+/// iteration is timed; after it the range runs one iteration at a time, and before
+/// each one, when the owner's deque is empty (two relaxed loads), the back half
+/// `[mid, end)` is pushed onto that deque as a piece for thieves while the front
+/// half stays here.  Once half of what is left is estimated (at the first
+/// iteration's cost) below [`MIN_PIECE_NANOS`], no piece is worth a steal and the
+/// rest runs in one call.  The owner pops an unstolen piece back and splits it the
+/// same way.
+fn split_lazily(
+    deque: &WorkStealingDeque<Work>,
+    line: &ParticipantLine,
+    mut range: ChunkRange,
+    run: &mut impl FnMut(ChunkRange),
+) {
+    let mut next = |range: &mut ChunkRange| {
+        run(ChunkRange {
+            start: range.start,
+            end: range.start + 1,
+        });
+        range.start += 1;
+    };
+    let started = Instant::now();
+    next(&mut range);
+    let per_iteration = started.elapsed().as_nanos() as u64;
+    while per_iteration.saturating_mul(range.len() as u64 / 2) >= MIN_PIECE_NANOS {
+        if deque.is_empty() {
+            let mid = range.start + range.len() / 2;
+            let piece = Work {
+                range: ChunkRange {
+                    start: mid,
+                    end: range.end,
+                },
+                piece: true,
+            };
+            // SAFETY: only the participant that owns `deque` runs its items.
+            if unsafe { deque.push(piece) }.is_ok() {
+                line.splits.fetch_add(1, Ordering::Relaxed);
+                range.end = mid;
+            }
+        }
+        next(&mut range);
+    }
+    if range.start < range.end {
+        run(range);
+    }
+}
+
+/// Empties its owner's deque if the owner's share unwinds, so a panicking loop
+/// leaves no chunk or piece to be seeded into the next one.  The normal path, which
+/// leaves the deque empty anyway, forgets it.
+struct DrainOnUnwind<'a>(&'a WorkStealingDeque<Work>);
+
+impl Drop for DrainOnUnwind<'_> {
+    fn drop(&mut self) {
+        // SAFETY: the guard is armed only by the deque's owner, on its own thread.
+        while unsafe { self.0.pop() }.is_some() {}
     }
 }
 
@@ -730,18 +863,9 @@ impl StealPool {
     where
         F: Fn(usize) + Sync,
     {
-        if range.end <= range.start {
-            return;
+        if let Some(job) = ChunkLoop::plain(range, chunk) {
+            self.run_for(&job, &body);
         }
-        let chunk = chunk.max(1);
-        self.run_for(
-            &ChunkLoop {
-                range,
-                chunk,
-                sticky: None,
-            },
-            &body,
-        );
     }
 
     /// Work-stealing parallel reduction.  Every participant folds the chunks it
@@ -781,20 +905,10 @@ impl StealPool {
         Fold: Fn(T, usize) -> T + Sync,
         Comb: Fn(T, T) -> T + Sync,
     {
-        if range.end <= range.start {
-            return init();
+        match ChunkLoop::plain(range, chunk) {
+            Some(job) => self.run_reduce(&job, init, fold, comb),
+            None => init(),
         }
-        let chunk = chunk.max(1);
-        self.run_reduce(
-            &ChunkLoop {
-                range,
-                chunk,
-                sticky: None,
-            },
-            init,
-            fold,
-            comb,
-        )
     }
 
     /// [`StealPool::steal_for`] keyed by a loop [`StealSite`], with **sticky
@@ -1342,6 +1456,68 @@ mod tests {
         let s = p.stats();
         assert_eq!(s.sticky_hits, 1);
         assert_eq!(s.sticky_chunks_total, 8);
+    }
+
+    /// Runs a 2-thread loop over `0..64` in chunks of 4 that steals on every
+    /// schedule.  The worker's first iteration (32) waits until the master has
+    /// seeded its run `[0, 32)` and started it (iteration 0), and the master then
+    /// waits at iteration 0 until iteration 28 has run.  Only the worker can run 28:
+    /// it drains its own run and steals the master's back chunk `[28, 32)`, whose
+    /// first iteration is slow enough for lazy splitting to push a piece.
+    fn stolen_tail_loop(run: impl FnOnce(&(dyn Fn(usize) + Sync))) {
+        let started = parlo_sync::AtomicBool::new(false);
+        let seen = parlo_sync::AtomicBool::new(false);
+        let wait = |flag: &parlo_sync::AtomicBool| {
+            while !flag.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+        };
+        let hits: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
+        run(&|i| {
+            match i {
+                0 => {
+                    started.store(true, Ordering::Release);
+                    wait(&seen);
+                }
+                28 => {
+                    // Slow enough that the rest of the stolen chunk is worth a piece.
+                    std::thread::sleep(std::time::Duration::from_nanos(2 * MIN_PIECE_NANOS));
+                    seen.store(true, Ordering::Release);
+                }
+                32 => wait(&started),
+                _ => {}
+            }
+            hits[i].fetch_add(1, Ordering::Relaxed);
+        });
+        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+    }
+
+    #[test]
+    fn stolen_chunks_split_whatever_the_chunk_size_source() {
+        let mut p = StealPool::with_threads(2);
+        assert_eq!(p.effective_chunk(64), 4);
+        let mut q = StealPool::new(StealConfig::with_threads(2).with_chunk(4));
+        stolen_tail_loop(|body| p.steal_for(0..64, body));
+        stolen_tail_loop(|body| p.steal_for_with_chunk(0..64, 4, body));
+        stolen_tail_loop(|body| q.steal_for(0..64, body));
+        for (s, loops) in [(p.stats(), 2), (q.stats(), 1)] {
+            assert!(s.steals_hit >= loops, "the worker stole the master's tail");
+            assert!(
+                s.splits >= loops,
+                "a stolen chunk is split before its first iteration"
+            );
+            assert!(s.split_steals <= s.splits);
+            assert_eq!(s.chunks_executed(), loops * total_chunks(&(0..64), 2, 4));
+        }
+    }
+
+    #[test]
+    fn site_keyed_loops_never_split() {
+        let mut p = StealPool::with_threads(2);
+        stolen_tail_loop(|body| p.steal_for_at(StealSite::new(5), 0..64, body));
+        let s = p.stats();
+        assert!(s.steals_hit >= 1);
+        assert_eq!((s.splits, s.split_steals), (0, 0));
     }
 
     #[test]

@@ -35,9 +35,10 @@ impl LoopRuntime for StealPool {
             reductions: s.reductions,
             barrier_phases: s.barrier_phases,
             combine_ops: s.combine_ops,
-            // Every chunk is a unit of dynamic work distribution the pool paid for.
+            // Every pre-split chunk is a unit of dynamic work distribution the pool
+            // paid for; pieces are counted by the steals that moved them.
             dynamic_chunks: s.chunks_executed(),
-            steals: s.steals_hit,
+            steals: s.steals_hit + s.split_steals,
         }
     }
 }

@@ -116,8 +116,8 @@ pub enum Phase {
     /// One steal sweep over victims after the local dispenser emptied
     /// (`parlo-steal`).  Instant; `a` = worker id, `b` = sweep number.
     StealSweep = 8,
-    /// A successful steal (`parlo-steal`).  Instant; `a` = thief id,
-    /// `b` = victim id.
+    /// A successful steal of a chunk or of a split-off piece (`parlo-steal`).
+    /// Instant; `a` = thief id, `b` = victim id.
     StealHit = 9,
     /// A lease activation: attach rendezvous of a client onto the substrate
     /// workers (`parlo-exec`).  Span; `a` = client id, `b` = worker count.
@@ -151,7 +151,7 @@ pub enum Phase {
     Complete = 19,
     /// Serve queue depth gauge (`parlo-serve`).  Counter; `a` = depth.
     QueueDepth = 20,
-    /// NUMA tier of a successful steal (`parlo-steal`).  Instant; `a` = thief
+    /// NUMA tier of a successful chunk steal (`parlo-steal`).  Instant; `a` = thief
     /// id, `b` = tier distance to the victim (0 = same socket, 1 = cross
     /// socket), so a timeline shows local vs remote steal traffic directly.
     StealTier = 21,

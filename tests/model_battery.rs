@@ -2,8 +2,9 @@
 //!
 //! Exhaustively enumerates thread interleavings (up to the preemption bound)
 //! of small closed programs built from the *real* shipped primitives — the
-//! Chase–Lev chunk deque, the centralized release/join half-barrier pair, the
-//! park hub, the trace event ring and the serve completion hand-off — and
+//! Chase–Lev chunk deque (and the lazy-splitting piece hand-off over it), the
+//! centralized release/join half-barrier pair, the park hub, the trace event
+//! ring and the serve completion hand-off — and
 //! checks every interleaving for data races (vector-clock happens-before over
 //! the declared orderings), deadlocks and lost wakeups.
 //!
@@ -133,6 +134,60 @@ fn deque_publication_chain_is_race_free() {
         // SAFETY: this thread is the deque's owner.
         unsafe { d.push(ChunkRange { start: 3, end: 4 }).unwrap() };
         let _ = thief.join().unwrap();
+    });
+    assert!(report.complete, "exploration must be exhaustive");
+}
+
+/// Lazy binary splitting's hand-off.  The owner runs a stolen range `[0, 4)` with
+/// an empty deque, so before its first iteration it pushes the back half `[2, 4)`
+/// as a piece and keeps `[0, 2)`; after its half it pops, and splits a piece it
+/// gets back the same way.  A thief makes two steal attempts meanwhile.  In every
+/// interleaving each iteration is claimed by exactly one side, exactly once.
+#[test]
+fn split_piece_handoff_claims_every_iteration_once() {
+    let report = model::Builder::new().check(|| {
+        let d = Arc::new(ChunkDeque::new(4));
+        let d2 = Arc::clone(&d);
+        let thief = thread::spawn(move || {
+            let mut got = Vec::new();
+            for _ in 0..2 {
+                if let Steal::Success(c) = d2.steal() {
+                    got.extend(c.start..c.end);
+                }
+            }
+            got
+        });
+        let mut mine = Vec::new();
+        let mut range = ChunkRange { start: 0, end: 4 };
+        loop {
+            while range.start < range.end {
+                if range.len() >= 2 && d.is_empty() {
+                    let mid = range.start + range.len() / 2;
+                    let piece = ChunkRange {
+                        start: mid,
+                        end: range.end,
+                    };
+                    // SAFETY: this thread is the deque's owner.
+                    unsafe { d.push(piece).unwrap() };
+                    range.end = mid;
+                }
+                mine.push(range.start);
+                range.start += 1;
+            }
+            // SAFETY: this thread is the deque's owner.
+            match unsafe { d.pop() } {
+                Some(piece) => range = piece,
+                None => break,
+            }
+        }
+        let mut all = thief.join().unwrap();
+        all.extend(mine);
+        all.sort_unstable();
+        assert_eq!(
+            all,
+            vec![0, 1, 2, 3],
+            "every iteration claimed exactly once"
+        );
     });
     assert!(report.complete, "exploration must be exhaustive");
 }

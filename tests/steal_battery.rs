@@ -11,10 +11,15 @@
 //!   proptest-sampled seed, which itself derives from the vendored proptest's
 //!   `PROPTEST_RNG_SEED` plumbing) and must execute every chunk exactly once — no
 //!   lost ranges, no duplicated ranges — with exact [`StealStats`] accounting;
-//! * reductions must produce the sequential result under every perturbed schedule.
+//! * reductions must produce the sequential result under every perturbed schedule;
+//! * lazy splitting of stolen ranges keeps all of the above on skewed and
+//!   triangular kernels, on derived and explicit chunk sizes alike, and never fires
+//!   for site-keyed loops.
 
 use parlo::prelude::*;
 use parlo::steal::{total_chunks, ChunkDeque, ChunkRange, Steal};
+use parlo::workloads::irregular::{skewed_weight, triangular_row};
+use parlo::workloads::microbench::work_unit;
 use parlo_sync::{AtomicUsize, Ordering};
 use proptest::prelude::*;
 use std::collections::VecDeque;
@@ -28,6 +33,9 @@ fn splitmix64(x: &mut u64) -> u64 {
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
 }
+
+/// A named loop kernel: `term(i, n)` for iteration `i` of a loop of `n`.
+type Kernel = (&'static str, fn(usize, usize) -> u64);
 
 /// The pool size the CI matrix pins via `PARLO_THREADS` (4 when unset/invalid, so a
 /// local run still exercises a multi-worker pool).  Parsing goes through the single
@@ -216,6 +224,64 @@ proptest! {
         if len > 0 {
             prop_assert_eq!(d.loops, 1);
             prop_assert_eq!(d.barrier_phases, 2, "one half-barrier per loop");
+        }
+    }
+
+    /// Lazy binary splitting under perturbed schedules.  On the derived chunk size
+    /// (no explicit chunk anywhere), the skewed and triangular kernels visit every
+    /// index exactly once, their integer sums are exact, every pre-split chunk is
+    /// accounted exactly once, and thieves take no more pieces than were split.
+    /// An explicit chunk size gives the same exact sums; a site key also does, and
+    /// never splits.  (Whether a case splits depends on its schedule; the
+    /// `parlo-steal` unit test `stolen_chunks_split_whatever_the_chunk_size_source`
+    /// forces a steal, and with it a split, on every schedule.)
+    #[test]
+    fn stolen_ranges_split_and_run_every_iteration_once(
+        n in 1usize..600,
+        threads in 1usize..9,
+        seed in 0u64..u64::MAX,
+    ) {
+        let config = StealConfig::with_threads(threads)
+            .with_perturbation(Arc::new(SeededPerturbation::new(seed)));
+        let mut pool = StealPool::new(config);
+        let chunk = pool.effective_chunk(n);
+        // Each term does work proportional to its kernel's cost and returns an
+        // integer, so thieves have a skew to balance and every sum is exact.
+        let loops: [Kernel; 2] = [
+            ("skewed", |i, n| {
+                std::hint::black_box(work_unit(i, 4 * skewed_weight(i, n)));
+                skewed_weight(i, n) as u64
+            }),
+            ("triangular", |i, _| triangular_row(i) as u64),
+        ];
+        let site = StealSite::new(seed);
+        for (kernel, cost) in loops {
+            let expected: u64 = (0..n).map(|i| cost(i, n)).sum();
+            let before = pool.stats();
+            let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+            pool.steal_for(0..n, |i| {
+                std::hint::black_box(cost(i, n));
+                hits[i].fetch_add(1, Ordering::Relaxed);
+            });
+            prop_assert!(
+                hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
+                "{} at {} threads: lost or duplicated iterations (seed {})", kernel, threads, seed
+            );
+            let sum = pool.steal_reduce(0..n, || 0u64, |a, i| a + cost(i, n), |a, b| a + b);
+            prop_assert_eq!(sum, expected, "{} at {} threads", kernel, threads);
+            let explicit = pool.steal_reduce_with_chunk(
+                0..n, chunk, || 0u64, |a, i| a + cost(i, n), |a, b| a + b,
+            );
+            prop_assert_eq!(explicit, expected, "{} with an explicit chunk", kernel);
+            let d = pool.stats().since(&before);
+            prop_assert_eq!(d.chunks_executed(), 3 * total_chunks(&(0..n), threads, chunk));
+            prop_assert!(d.split_steals <= d.splits, "{} stole unsplit pieces", kernel);
+
+            let before = pool.stats();
+            let keyed = pool.steal_reduce_at(site, 0..n, || 0u64, |a, i| a + cost(i, n), |a, b| a + b);
+            prop_assert_eq!(keyed, expected, "{} keyed by a site", kernel);
+            let d = pool.stats().since(&before);
+            prop_assert_eq!((d.splits, d.split_steals), (0, 0), "{} keyed loop split", kernel);
         }
     }
 
