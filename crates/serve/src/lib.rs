@@ -32,8 +32,14 @@
 //!   with [`Rejected::QueueFull`]; [`Server::submit`] applies backpressure by waiting
 //!   for room — a bounded spin, then yields, then a parked condvar wait (queued
 //!   submitters never busy-spin).
-//! * **Completion**: a [`JobHandle`] parks its waiter the same way (bounded spin →
-//!   yield → condvar); no tenant thread spins on a completion flag.
+//! * **Completion — help first**: [`JobHandle::wait`] on a served handle helps
+//!   until its own job is done.  It pops the next fused batch of queued `for`
+//!   requests (the drivers' round-robin pop) and serves it on the waiting thread,
+//!   through the same batch-serving function the drivers use, so the caller's CPU
+//!   works instead of idling.  Sums are never helped: they stay on the gangs, so a
+//!   sum's result bits do not depend on which thread ran it.  Only when no `for`
+//!   request is queued does the waiter fall back to a bounded spin → yield →
+//!   condvar park.  Wakes are skipped when nobody is parked.
 //! * **Small-loop batching**: consecutive queued `for`-loops are fused into one
 //!   half-barrier cycle — the driver concatenates their index spaces with a prefix
 //!   sum and runs a single `parallel_for`, so a backlog of micro-loops pays one
@@ -44,6 +50,14 @@
 //!
 //! On a machine with no workers to lease (capacity 0) the server degenerates to
 //! inline execution on the submitting thread — same results, no threads.
+//!
+//! ## Contract for request bodies
+//!
+//! * A body must not block on something the waiting thread does only after its
+//!   `wait` returns: the waiting thread may be the one running that body.
+//! * A panic in a served body aborts the process, whichever thread runs it (a gang
+//!   driver or a helping waiter), so no other tenant's handle in the same batch is
+//!   left pending.
 //!
 //! ## Example
 //!

@@ -3,20 +3,25 @@
 //! One queue is shared by every gang driver of a [`crate::Server`].  It holds one
 //! FIFO per [`LoopSite`] and pops round-robin across the sites, so per-site order is
 //! preserved while no site can starve another.  Both waiting directions — a tenant
-//! waiting for queue room and a tenant waiting on a completion — use the same
+//! waiting for queue room and a tenant waiting on a completion — end in the same
 //! bounded-spin → yield → park discipline: short waits stay cheap, long waits cost
-//! no CPU.
+//! no CPU.  A tenant waiting on a served completion first helps: it serves queued
+//! `for` batches itself until its own job is done or none is queued.  Every condvar
+//! keeps a count of its parked waiters under its mutex, and a wake nobody waits for
+//! is skipped.
 
-use crate::server::LoopKind;
+use crate::server::{LoopKind, Shared};
 use parlo_adaptive::LoopSite;
-use parlo_sync::{AtomicBool, Condvar, Mutex, MutexGuard, Ordering};
+use parlo_sync::{AtomicBool, AtomicUsize, Condvar, Mutex, MutexGuard, Ordering};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// Spin iterations before a waiter starts yielding.
-const SPIN_LIMIT: u32 = 128;
+/// Spin iterations before a waiter starts yielding.  Zero under the model checker:
+/// its stall rule blocks a spinner until the flag it reads is written, so there
+/// only a waiter that parks at once reaches the park protocol.
+const SPIN_LIMIT: u32 = if cfg!(parlo_model) { 0 } else { 128 };
 /// Yield iterations before a waiter parks on the condvar.
-const YIELD_LIMIT: u32 = 160;
+const YIELD_LIMIT: u32 = if cfg!(parlo_model) { 0 } else { 160 };
 
 /// Why a submission was not accepted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,6 +50,10 @@ pub(crate) struct Completion {
     done: AtomicBool,
     result: Mutex<Option<f64>>,
     cv: Condvar,
+    /// Waiters parked on `cv`.  Changed only under `result`'s lock, which orders it
+    /// against `complete`; atomic so [`Completer::parked_waiters`] can read it
+    /// without the lock.
+    parked: AtomicUsize,
 }
 
 impl Completion {
@@ -53,16 +62,47 @@ impl Completion {
             done: AtomicBool::new(false),
             result: Mutex::new(None),
             cv: Condvar::new(),
+            parked: AtomicUsize::new(0),
         })
     }
 
-    /// Publishes the loop's result and wakes every parked waiter.
+    pub(crate) fn is_done(&self) -> bool {
+        self.done.load(Ordering::Acquire)
+    }
+
+    /// Publishes the loop's result and wakes the parked waiters, if any.
     pub(crate) fn complete(&self, value: f64) {
         let mut slot = self.result.lock().unwrap_or_else(|p| p.into_inner());
         *slot = Some(value);
+        // ordering: `parked` is only changed under the `result` lock held here.
+        let parked = self.parked.load(Ordering::Relaxed) > 0;
         drop(slot);
         self.done.store(true, Ordering::Release);
-        self.cv.notify_all();
+        if parked {
+            self.cv.notify_all();
+        }
+    }
+
+    /// Bounded spin, then yields, then parks until `complete` has run.
+    fn wait_done(&self) {
+        let mut attempts: u32 = 0;
+        while !self.is_done() {
+            if attempts < SPIN_LIMIT {
+                std::hint::spin_loop();
+            } else if attempts < YIELD_LIMIT {
+                std::thread::yield_now();
+            } else {
+                let mut slot = self.result.lock().unwrap_or_else(|p| p.into_inner());
+                while slot.is_none() {
+                    // ordering: changed under the `result` lock (see the field).
+                    self.parked.fetch_add(1, Ordering::Relaxed);
+                    slot = self.cv.wait(slot).unwrap_or_else(|p| p.into_inner());
+                    self.parked.fetch_sub(1, Ordering::Relaxed);
+                }
+                return;
+            }
+            attempts += 1;
+        }
     }
 }
 
@@ -71,37 +111,41 @@ impl Completion {
 #[derive(Clone)]
 pub struct JobHandle {
     inner: Arc<Completion>,
+    /// The server the job was queued on, which a waiter helps; `None` for a handle
+    /// that was complete on return from submit, or one from [`completion_pair`].
+    server: Option<Arc<Shared>>,
 }
 
 impl JobHandle {
-    pub(crate) fn new(inner: Arc<Completion>) -> JobHandle {
-        JobHandle { inner }
+    pub(crate) fn new(inner: Arc<Completion>, server: Option<Arc<Shared>>) -> JobHandle {
+        JobHandle { inner, server }
     }
 
     /// Whether the loop has completed (one atomic load).
     pub fn is_done(&self) -> bool {
-        self.inner.done.load(Ordering::Acquire)
+        self.inner.is_done()
     }
 
     /// Blocks until the loop completes and returns its result (`0.0` for a plain
-    /// `for` loop, the reduction value for a sum).  Bounded spin, then yields, then
-    /// parks — a waiter behind a long queue costs no CPU.
+    /// `for` loop, the reduction value for a sum).
+    ///
+    /// The waiting thread helps first: while its own job is not done, it pops the
+    /// next fused batch of queued `for` requests (round-robin across sites, exactly
+    /// as a gang driver pops) and serves it itself, sequentially.  Sum requests are
+    /// never helped: they stay on the gangs, so a sum's bits do not depend on which
+    /// thread ran it.  Only when no `for` request is queued does the waiter spin,
+    /// then yield, then park, so a waiter behind a queue of sums costs no CPU.
+    ///
+    /// Because of this, a request body must not block on something the waiting
+    /// thread does only after its `wait` returns: the waiter may be the thread that
+    /// runs that body.  A panic in a served body aborts the process, whichever
+    /// thread runs it, so no other tenant's handle in the same batch is left
+    /// pending.
     pub fn wait(&self) -> f64 {
-        let mut attempts: u32 = 0;
-        while !self.is_done() {
-            if attempts < SPIN_LIMIT {
-                std::hint::spin_loop();
-            } else if attempts < YIELD_LIMIT {
-                std::thread::yield_now();
-            } else {
-                let mut slot = self.inner.result.lock().unwrap_or_else(|p| p.into_inner());
-                while slot.is_none() {
-                    slot = self.inner.cv.wait(slot).unwrap_or_else(|p| p.into_inner());
-                }
-                break;
-            }
-            attempts += 1;
+        if let Some(server) = &self.server {
+            server.help_until_done(&self.inner);
         }
+        self.inner.wait_done();
         self.inner
             .result
             .lock()
@@ -125,13 +169,24 @@ impl Completer {
     pub fn complete(&self, value: f64) {
         self.inner.complete(value);
     }
+
+    /// Waiters currently parked on the paired handle.  The model battery polls it
+    /// to complete only after a waiter has parked.
+    pub fn parked_waiters(&self) -> usize {
+        // ordering: a count read without the lock; it publishes no data.
+        self.inner.parked.load(Ordering::Relaxed)
+    }
 }
 
 /// Creates a connected ([`JobHandle`], [`Completer`]) pair over a fresh
-/// completion slot — the exact primitive a submitted job rides on.
+/// completion slot — the exact primitive a submitted job rides on.  The handle has
+/// no server to help, so its `wait` only spins, yields and parks.
 pub fn completion_pair() -> (JobHandle, Completer) {
     let inner = Completion::new();
-    (JobHandle::new(Arc::clone(&inner)), Completer { inner })
+    (
+        JobHandle::new(Arc::clone(&inner), None),
+        Completer { inner },
+    )
 }
 
 /// One queued request: the loop to run and where to publish its result.
@@ -152,6 +207,10 @@ struct QueueState {
     /// Total queued jobs across all sites.
     len: usize,
     closed: bool,
+    /// Drivers parked on `jobs_cv` (a push wakes them only when non-zero).
+    parked_drivers: usize,
+    /// Submitters parked on `space_cv` (a pop wakes them only when non-zero).
+    parked_submitters: usize,
 }
 
 impl QueueState {
@@ -207,18 +266,20 @@ pub(crate) struct ServeQueue {
 }
 
 impl ServeQueue {
-    pub(crate) fn new(capacity: usize) -> Arc<ServeQueue> {
-        Arc::new(ServeQueue {
+    pub(crate) fn new(capacity: usize) -> ServeQueue {
+        ServeQueue {
             state: Mutex::new(QueueState {
                 sites: Vec::new(),
                 rr: 0,
                 len: 0,
                 closed: false,
+                parked_drivers: 0,
+                parked_submitters: 0,
             }),
             jobs_cv: Condvar::new(),
             space_cv: Condvar::new(),
             capacity: capacity.max(1),
-        })
+        }
     }
 
     fn lock(&self) -> MutexGuard<'_, QueueState> {
@@ -236,7 +297,9 @@ impl ServeQueue {
         st.len += 1;
         parlo_trace::instant(parlo_trace::Phase::Enqueue, st.len as u64, 0);
         parlo_trace::counter(parlo_trace::Phase::QueueDepth, st.len as u64);
-        self.jobs_cv.notify_all();
+        if st.parked_drivers > 0 {
+            self.jobs_cv.notify_all();
+        }
     }
 
     /// Fail-fast admission: rejects when closed or at capacity.
@@ -272,7 +335,9 @@ impl ServeQueue {
                 drop(st);
                 std::thread::yield_now();
             } else {
+                st.parked_submitters += 1;
                 st = self.space_cv.wait(st).unwrap_or_else(|p| p.into_inner());
+                st.parked_submitters -= 1;
                 continue;
             }
             attempts += 1;
@@ -293,8 +358,29 @@ impl ServeQueue {
             if let Some(job) = st.pop_rr() {
                 break job;
             }
+            st.parked_drivers += 1;
             st = self.jobs_cv.wait(st).unwrap_or_else(|p| p.into_inner());
+            st.parked_drivers -= 1;
         };
+        Some(self.fuse(st, first, batch_max))
+    }
+
+    /// A helping waiter's pop: [`Self::pop_batch`] restricted to `for` loops, and
+    /// `None` at once when no `for` loop heads a site queue.
+    pub(crate) fn try_pop_for_batch(&self, batch_max: usize) -> Option<Vec<QueuedJob>> {
+        let mut st = self.lock();
+        let first = st.pop_rr_for()?;
+        Some(self.fuse(st, first, batch_max))
+    }
+
+    /// Completes a batch behind its popped `first` job: a `for` loop takes up to
+    /// `batch_max − 1` more queued `for` loops along.
+    fn fuse(
+        &self,
+        mut st: MutexGuard<'_, QueueState>,
+        first: QueuedJob,
+        batch_max: usize,
+    ) -> Vec<QueuedJob> {
         let mut batch = vec![first];
         if matches!(batch[0].kind, LoopKind::For { .. }) {
             while batch.len() < batch_max.max(1) {
@@ -308,9 +394,12 @@ impl ServeQueue {
         if batch.len() > 1 {
             parlo_trace::instant(parlo_trace::Phase::Fuse, batch.len() as u64, 0);
         }
+        let wake = st.parked_submitters > 0;
         drop(st);
-        self.space_cv.notify_all();
-        Some(batch)
+        if wake {
+            self.space_cv.notify_all();
+        }
+        batch
     }
 
     /// Closes admission and wakes every parked submitter and driver.
@@ -467,7 +556,7 @@ mod tests {
 
     #[test]
     fn parked_submitter_wakes_when_room_appears() {
-        let q = ServeQueue::new(1);
+        let q = Arc::new(ServeQueue::new(1));
         let site = LoopSite::new(1);
         q.try_push(site, for_job(0..1)).unwrap();
         let q2 = Arc::clone(&q);

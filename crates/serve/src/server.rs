@@ -188,6 +188,7 @@ struct Counters {
     rejected: AtomicU64,
     batches: AtomicU64,
     fused: AtomicU64,
+    helped: AtomicU64,
 }
 
 parlo_core::stats_family! {
@@ -211,43 +212,75 @@ parlo_core::stats_family! {
         /// Extra loops that rode along in a fused batch (each saved one full
         /// half-barrier cycle relative to serving it alone).
         pub fused: u64,
+        /// Requests served by a tenant thread helping in [`JobHandle::wait`]
+        /// (counted in `completed` and, by batch, in `batches` too).
+        pub helped: u64,
     }
 }
 
-/// One gang's shared state: its detach flag, its (lazily activated) pool over the
-/// gang's non-driver workers, and the queue it serves.
+/// What a server's gang drivers and its helping waiters share: the admission queue,
+/// the counters and the fusion limit.
+pub(crate) struct Shared {
+    queue: ServeQueue,
+    counters: Counters,
+    batch_max: usize,
+}
+
+impl Shared {
+    /// The helping half of [`JobHandle::wait`]: serves queued `for` batches on the
+    /// calling thread until `done` completes or no `for` loop is queued.
+    pub(crate) fn help_until_done(&self, done: &Completion) {
+        while !done.is_done() {
+            match self.queue.try_pop_for_batch(self.batch_max) {
+                Some(batch) => serve_batch(None, batch, &self.counters, true),
+                None => return,
+            }
+        }
+    }
+}
+
+/// One gang's state: its detach flag, its (lazily activated) pool over the gang's
+/// non-driver workers, and the server state it serves from.
 struct GangState {
     /// Raised by the driver lease's detach hook; the driver exits its serving loop.
     detach: AtomicBool,
     /// `None` for a 1-worker gang (the driver runs requests inline).
     pool: Mutex<Option<FineGrainPool>>,
-    queue: Arc<ServeQueue>,
-    batch_max: usize,
-    counters: Arc<Counters>,
+    shared: Arc<Shared>,
 }
 
 /// The serving loop run by a gang's driver worker (the body of its driver lease):
 /// pop a batch, serve it, repeat until detached.  Resumable — a re-activation after
 /// a detach enters the loop again with the flag reset.
 fn driver_loop(gang: &GangState) {
+    let shared = &gang.shared;
     while !gang.detach.load(Ordering::Acquire) {
-        match gang.queue.pop_batch(gang.batch_max, &gang.detach) {
-            Some(batch) => run_batch(gang, batch),
-            // `pop_batch` returns `None` only when the detach flag is up; the loop
-            // condition exits.
-            None => continue,
+        // `pop_batch` returns `None` only when the detach flag is up; the loop
+        // condition exits.
+        if let Some(batch) = shared.queue.pop_batch(shared.batch_max, &gang.detach) {
+            let mut pool = gang.pool.lock().unwrap_or_else(|p| p.into_inner());
+            serve_batch(pool.as_mut(), batch, &shared.counters, false);
         }
     }
 }
 
-/// Serves one popped batch on the gang's workers.  A multi-job batch contains only
-/// `for` loops (the queue guarantees it): their index spaces are concatenated with a
-/// prefix sum and served as a single `parallel_for`, so the whole batch costs one
-/// half-barrier cycle.
-fn run_batch(gang: &GangState, batch: Vec<QueuedJob>) {
+/// Serves one popped batch and completes its handles — the one function through
+/// which gang drivers and helping waiters run requests.  With a `pool` the batch
+/// runs on the gang's workers; without one (a 1-worker gang, or a waiter helping)
+/// it runs sequentially on the calling thread.  A multi-job batch contains only
+/// `for` loops (the queue guarantees it): on a pool their index spaces are
+/// concatenated with a prefix sum and served as a single `parallel_for`, so the
+/// whole batch costs one half-barrier cycle.  `helped` marks a batch run by a
+/// waiting tenant.
+fn serve_batch(
+    pool: Option<&mut FineGrainPool>,
+    batch: Vec<QueuedJob>,
+    counters: &Counters,
+    helped: bool,
+) {
     parlo_trace::span_begin(parlo_trace::Phase::Batch, batch.len() as u64, 0);
-    let mut guard = gang.pool.lock().unwrap_or_else(|p| p.into_inner());
-    let values: Vec<f64> = match guard.as_mut() {
+    let abort_guard = AbortOnUnwind;
+    let values: Vec<f64> = match pool {
         None => batch.iter().map(|job| run_seq(&job.kind)).collect(),
         Some(pool) if batch.len() == 1 => vec![match &batch[0].kind {
             LoopKind::For { range, body } => {
@@ -276,16 +309,21 @@ fn run_batch(gang: &GangState, batch: Vec<QueuedJob>) {
             vec![0.0; batch.len()]
         }
     };
-    drop(guard);
+    std::mem::forget(abort_guard);
     // Count the batch before completing its handles: a tenant woken by
     // `handle.wait()` must already see its job in `stats().completed`.
-    gang.counters.batches.fetch_add(1, Ordering::Relaxed);
+    counters.batches.fetch_add(1, Ordering::Relaxed);
     if batch.len() > 1 {
-        gang.counters
+        counters
             .fused
             .fetch_add(batch.len() as u64 - 1, Ordering::Relaxed);
     }
-    gang.counters
+    if helped {
+        counters
+            .helped
+            .fetch_add(batch.len() as u64, Ordering::Relaxed);
+    }
+    counters
         .completed
         .fetch_add(batch.len() as u64, Ordering::Relaxed);
     for (job, value) in batch.iter().zip(values) {
@@ -295,14 +333,30 @@ fn run_batch(gang: &GangState, batch: Vec<QueuedJob>) {
     parlo_trace::span_end(parlo_trace::Phase::Batch);
 }
 
+/// Aborts the process if dropped during an unwind (see [`serve_batch`]); forgotten
+/// on the normal path.  A panic in a served body would otherwise leave the other
+/// handles of its batch pending forever, on a driver worker and on a helping tenant
+/// alike.
+struct AbortOnUnwind;
+
+impl Drop for AbortOnUnwind {
+    fn drop(&mut self) {
+        eprintln!(
+            "parlo-serve: a served request body panicked on thread {:?}; the other \
+             requests of its batch cannot complete — aborting",
+            std::thread::current().name().unwrap_or("<unnamed>")
+        );
+        std::process::abort();
+    }
+}
+
 /// The multi-tenant loop server (see the crate docs for the architecture).  Methods
 /// take `&self`: wrap the server in an `Arc` and submit from any number of threads.
 pub struct Server {
     executor: Arc<Executor>,
-    queue: Arc<ServeQueue>,
+    shared: Arc<Shared>,
     gangs: Vec<Arc<GangState>>,
     drivers: Vec<Lease>,
-    counters: Arc<Counters>,
     gang_size: usize,
 }
 
@@ -324,8 +378,11 @@ impl Server {
             .workers
             .unwrap_or_else(|| executor.capacity())
             .min(executor.capacity());
-        let queue = ServeQueue::new(config.queue_capacity);
-        let counters = Arc::new(Counters::default());
+        let shared = Arc::new(Shared {
+            queue: ServeQueue::new(config.queue_capacity),
+            counters: Counters::default(),
+            batch_max: config.batch_max.max(1),
+        });
         let mut gangs = Vec::new();
         let mut drivers = Vec::new();
         let gang_size = if budget == 0 {
@@ -349,9 +406,7 @@ impl Server {
                 let gang = Arc::new(GangState {
                     detach: AtomicBool::new(false),
                     pool: Mutex::new(pool),
-                    queue: Arc::clone(&queue),
-                    batch_max: config.batch_max.max(1),
-                    counters: Arc::clone(&counters),
+                    shared: Arc::clone(&shared),
                 });
                 let body = {
                     let gang = Arc::clone(&gang);
@@ -361,7 +416,7 @@ impl Server {
                     let gang = Arc::clone(&gang);
                     Arc::new(move || {
                         gang.detach.store(true, Ordering::Release);
-                        gang.queue.wake_drivers();
+                        gang.shared.queue.wake_drivers();
                     })
                 };
                 let lease = executor.register_partition(
@@ -380,10 +435,9 @@ impl Server {
         }
         Server {
             executor: Arc::clone(executor),
-            queue,
+            shared,
             gangs,
             drivers,
-            counters,
             gang_size,
         }
     }
@@ -412,9 +466,10 @@ impl Server {
             // handle so tenants are oblivious.
             let done = Completion::new();
             done.complete(run_seq(&request.kind));
-            self.counters.submitted.fetch_add(1, Ordering::Relaxed);
-            self.counters.completed.fetch_add(1, Ordering::Relaxed);
-            return Ok(JobHandle::new(done));
+            let counters = &self.shared.counters;
+            counters.submitted.fetch_add(1, Ordering::Relaxed);
+            counters.completed.fetch_add(1, Ordering::Relaxed);
+            return Ok(JobHandle::new(done, None));
         }
         // Re-ensure the driver leases before taking any queue lock (the executor
         // state lock and the queue lock are only ever taken in exec → queue order;
@@ -428,18 +483,19 @@ impl Server {
             kind: request.kind,
             done: Arc::clone(&done),
         };
+        let shared = &self.shared;
         let pushed = if block {
-            self.queue.push_wait(request.site, job)
+            shared.queue.push_wait(request.site, job)
         } else {
-            self.queue.try_push(request.site, job)
+            shared.queue.try_push(request.site, job)
         };
         match pushed {
             Ok(()) => {
-                self.counters.submitted.fetch_add(1, Ordering::Relaxed);
-                Ok(JobHandle::new(done))
+                shared.counters.submitted.fetch_add(1, Ordering::Relaxed);
+                Ok(JobHandle::new(done, Some(Arc::clone(shared))))
             }
             Err(e) => {
-                self.counters.rejected.fetch_add(1, Ordering::Relaxed);
+                shared.counters.rejected.fetch_add(1, Ordering::Relaxed);
                 Err(e)
             }
         }
@@ -447,12 +503,7 @@ impl Server {
 
     /// A snapshot of the server's accounting.
     pub fn stats(&self) -> ServeStats {
-        snapshot_serve_stats(
-            &self.counters,
-            &self.queue,
-            self.gangs.len(),
-            self.gang_size,
-        )
+        snapshot_serve_stats(&self.shared, self.gangs.len(), self.gang_size)
     }
 
     /// A [`StatsRegistry`] over everything the server can observe: its own serving
@@ -460,11 +511,10 @@ impl Server {
     /// The registry holds live handles — render it any time for current numbers.
     pub fn stats_registry(&self) -> StatsRegistry {
         let mut registry = StatsRegistry::new();
-        let counters = Arc::clone(&self.counters);
-        let queue = Arc::clone(&self.queue);
+        let shared = Arc::clone(&self.shared);
         let (gangs, gang_size) = (self.gangs.len(), self.gang_size);
         registry.register("serve", move || {
-            snapshot_serve_stats(&counters, &queue, gangs, gang_size)
+            snapshot_serve_stats(&shared, gangs, gang_size)
         });
         let executor = Arc::clone(&self.executor);
         registry.register("exec", move || executor.stats());
@@ -478,35 +528,35 @@ impl Server {
     }
 }
 
-fn snapshot_serve_stats(
-    counters: &Counters,
-    queue: &ServeQueue,
-    gangs: usize,
-    gang_size: usize,
-) -> ServeStats {
+fn snapshot_serve_stats(shared: &Shared, gangs: usize, gang_size: usize) -> ServeStats {
+    let counters = &shared.counters;
     ServeStats {
         gangs,
         gang_size,
-        queued: queue.len(),
+        queued: shared.queue.len(),
         submitted: counters.submitted.load(Ordering::Relaxed),
         completed: counters.completed.load(Ordering::Relaxed),
         rejected: counters.rejected.load(Ordering::Relaxed),
         batches: counters.batches.load(Ordering::Relaxed),
         fused: counters.fused.load(Ordering::Relaxed),
+        helped: counters.helped.load(Ordering::Relaxed),
     }
 }
 
 impl Drop for Server {
     fn drop(&mut self) {
         // 1. Close admission: new submissions fail, parked submitters wake and err.
-        self.queue.close();
+        self.shared.queue.close();
         // 2. Detach the drivers (each finishes its in-flight batch first).
         self.drivers.clear();
         // 3. Serve whatever is still queued inline — a handle obtained before the
         //    drop must always resolve.
-        for job in self.queue.drain() {
+        for job in self.shared.queue.drain() {
             job.done.complete(run_seq(&job.kind));
-            self.counters.completed.fetch_add(1, Ordering::Relaxed);
+            self.shared
+                .counters
+                .completed
+                .fetch_add(1, Ordering::Relaxed);
         }
         // 4. The gang pools drop with `self.gangs`, detaching their partitions.
     }

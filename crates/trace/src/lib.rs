@@ -7,7 +7,10 @@
 //! traffic on the hot path.  When the ring is full the oldest events are
 //! overwritten (the cursor keeps counting, so the number of dropped events is
 //! always known).  Timestamps come from one process-wide monotonic epoch, so
-//! they are comparable across tracks and monotonic within each track.
+//! they are comparable across tracks and monotonic within each track.  A track
+//! exists only once its thread records an event: a thread that never records
+//! while tracing is on owns no ring, even if it set a label
+//! ([`set_thread_label`]).
 //!
 //! The layer is gated twice:
 //!
@@ -320,7 +323,7 @@ mod rt {
     use super::ring::EventRing;
     use super::{EventKind, Phase, TraceSnapshot, TrackSnapshot};
     use parlo_sync::{AtomicBool, Ordering};
-    use std::cell::OnceCell;
+    use std::cell::{OnceCell, RefCell};
     use std::sync::{Arc, Mutex, OnceLock};
     use std::time::Instant;
 
@@ -362,6 +365,10 @@ mod rt {
 
     thread_local! {
         static TRACK: OnceCell<Arc<Track>> = const { OnceCell::new() };
+        /// A label set before the thread's first event, applied when its track is
+        /// created: a ring is allocated (and zero-filled) only for a thread that
+        /// records.
+        static LABEL: RefCell<Option<String>> = const { RefCell::new(None) };
     }
 
     /// Default per-track capacity in events; override (before the first event)
@@ -385,10 +392,12 @@ mod rt {
     }
 
     fn register_current_thread() -> Arc<Track> {
-        let label = std::thread::current()
-            .name()
-            .map(str::to_owned)
-            .unwrap_or_else(|| "anonymous".to_owned());
+        let label = LABEL.with(|l| l.borrow_mut().take()).unwrap_or_else(|| {
+            std::thread::current()
+                .name()
+                .map(str::to_owned)
+                .unwrap_or_else(|| "anonymous".to_owned())
+        });
         let mut reg = REGISTRY.lock().unwrap();
         let track = Arc::new(Track::new(label, reg.len() as u64, capacity()));
         reg.push(Arc::clone(&track));
@@ -424,7 +433,10 @@ mod rt {
     }
 
     pub(super) fn set_thread_label(label: &str) {
-        with_track(|t| *t.label.lock().unwrap() = label.to_owned());
+        TRACK.with(|cell| match cell.get() {
+            Some(track) => *track.label.lock().unwrap() = label.to_owned(),
+            None => LABEL.with(|l| *l.borrow_mut() = Some(label.to_owned())),
+        });
     }
 
     #[inline]
@@ -504,9 +516,10 @@ pub fn clear() {
     rt::clear();
 }
 
-/// Names the calling thread's track on the exported timeline.  Registers the
-/// track if the thread has none yet; works whether or not recording is
-/// enabled, so workers can label themselves at spawn time.
+/// Names the calling thread's track on the exported timeline.  Works whether or
+/// not recording is enabled, so workers can label themselves at spawn time; a
+/// thread's track (and its ring) exists only once the thread records an event,
+/// and a label set before that is applied then.
 pub fn set_thread_label(label: &str) {
     rt::set_thread_label(label);
 }
@@ -769,6 +782,34 @@ mod tests {
             assert_eq!(tail[1].phase, Phase::Combine);
             assert_eq!(tail[2].kind, EventKind::End);
             assert!(tail[0].ts_ns <= tail[1].ts_ns && tail[1].ts_ns <= tail[2].ts_ns);
+        }
+
+        #[test]
+        fn a_track_exists_only_once_its_thread_records() {
+            let _g = LOCK.lock().unwrap();
+            clear();
+            let label = "lazy-track-test";
+            let labelled = |snap: &TraceSnapshot| snap.tracks.iter().any(|t| t.label == label);
+            let (before, after) = std::thread::spawn(move || {
+                set_thread_label(label);
+                let before = snapshot();
+                enable();
+                instant(Phase::Probe, 1, 0);
+                disable();
+                (before, snapshot())
+            })
+            .join()
+            .unwrap();
+            assert!(
+                !labelled(&before),
+                "a thread that recorded nothing has a track"
+            );
+            let track = after
+                .tracks
+                .iter()
+                .find(|t| t.label == label)
+                .expect("the first event creates the labelled track");
+            assert_eq!(track.events.len(), 1);
         }
 
         #[test]

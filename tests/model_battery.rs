@@ -305,14 +305,33 @@ fn event_ring_overwrite_at_wrap_counts_drops() {
 }
 
 /// The serve completion hand-off: `complete` publishes the result slot under
-/// the lock, then flips the `done` flag (`Release`) and notifies; `wait`
-/// spins on the flag and re-locks the slot.  No interleaving may lose the
-/// result or the wake.
+/// the lock, then flips the `done` flag (`Release`) and notifies if a waiter is
+/// parked; `wait` checks the flag and parks on the slot (under the model its
+/// spin and yield budgets are zero).  No interleaving may lose the result or
+/// the wake.
 #[test]
 fn serve_completion_handoff_is_clean() {
     let report = model::Builder::new().check(|| {
         let (handle, completer) = completion_pair();
         let waiter = thread::spawn(move || handle.wait());
+        completer.complete(7.5);
+        assert_eq!(waiter.join().unwrap(), 7.5);
+    });
+    assert!(report.complete, "exploration must be exhaustive");
+}
+
+/// The serve completion hand-off with the waiter already parked: `complete`
+/// skips its condvar wake when it counts no parked waiter, so here it must see
+/// the count and wake.  The model's condvar wait never times out, so a skipped
+/// wake shows up as a deadlock.
+#[test]
+fn serve_completion_wakes_a_parked_waiter() {
+    let report = model::Builder::new().check(|| {
+        let (handle, completer) = completion_pair();
+        let waiter = thread::spawn(move || handle.wait());
+        while completer.parked_waiters() == 0 {
+            thread::yield_now();
+        }
         completer.complete(7.5);
         assert_eq!(waiter.join().unwrap(), 7.5);
     });

@@ -15,7 +15,10 @@
 //!   job still completes exactly;
 //! * (d) **lease churn** — a seeded proptest builds and drops servers of varying
 //!   gang sizes on one long-lived executor; results stay exact and no activation or
-//!   worker leaks across the churn.
+//!   worker leaks across the churn;
+//! * (e) **helping** — a tenant waiting on a `for` request serves queued `for`
+//!   loops itself while the only gang is stalled, and never runs a sum; a panic in a
+//!   body it helps with aborts the process with a message naming the serve layer.
 //!
 //! The census is process-wide, so the tests serialize on a file-local mutex, exactly
 //! like the substrate battery.
@@ -67,6 +70,22 @@ fn executor(cores: usize) -> Arc<Executor> {
 /// (a lost iteration, a double-executed fused segment) breaks exact equality.
 fn expected_sum(n: usize) -> f64 {
     (0..n).map(|i| i as f64).sum()
+}
+
+/// A request that holds its gang until `release` is raised and raises `entered`
+/// once a gang runs it.
+fn gate_request(
+    site: LoopSite,
+    entered: &Arc<AtomicBool>,
+    release: &Arc<AtomicBool>,
+) -> LoopRequest {
+    let (entered, release) = (Arc::clone(entered), Arc::clone(release));
+    LoopRequest::for_each(site, 0..1, move |_| {
+        entered.store(true, Ordering::Release);
+        while !release.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
+    })
 }
 
 #[test]
@@ -147,17 +166,10 @@ fn queued_micro_loops_are_batched_through_one_barrier_cycle() {
     // same-site micro-loops behind it, then release: the drained backlog must fuse.
     // Only `For` loops fuse (a `Sum` needs its own reduction tree and rides alone),
     // so the backlog sums through side effects and checks exactness that way.
-    let release = Arc::new(AtomicBool::new(false));
-    let gate = {
-        let release = Arc::clone(&release);
-        server
-            .submit(LoopRequest::for_each(site, 0..1, move |_| {
-                while !release.load(Ordering::Acquire) {
-                    std::thread::yield_now();
-                }
-            }))
-            .expect("gate accepted")
-    };
+    let (entered, release) = (Arc::default(), Arc::new(AtomicBool::new(false)));
+    let gate = server
+        .submit(gate_request(site, &entered, &release))
+        .expect("gate accepted");
     let sums: Arc<Vec<AtomicU64>> = Arc::new((0..32).map(|_| AtomicU64::new(0)).collect());
     let handles: Vec<_> = (0..32usize)
         .map(|k| {
@@ -193,6 +205,112 @@ fn queued_micro_loops_are_batched_through_one_barrier_cycle() {
 }
 
 #[test]
+fn a_waiting_tenant_serves_queued_for_loops_but_never_sums() {
+    let _guard = census_lock();
+    let cores = pinned_threads();
+    let executor = executor(cores);
+    let server = Server::on_executor(
+        ServeConfig::default().with_gang(GangSizing::Fixed(cores - 1)),
+        &executor,
+    );
+    let (gate_site, sum_site, for_site) = (LoopSite::new(1), LoopSite::new(2), LoopSite::new(3));
+
+    // (e) Stall the single gang inside a gate.  Queue behind it only once a gang
+    // runs the gate: a gate still queued could be popped by the waiting test thread
+    // itself, whose wait would then spin on a release that only it can give.
+    let entered = Arc::new(AtomicBool::new(false));
+    let release = Arc::new(AtomicBool::new(false));
+    let gate = server
+        .submit(gate_request(gate_site, &entered, &release))
+        .expect("gate accepted");
+    while !entered.load(Ordering::Acquire) {
+        std::thread::yield_now();
+    }
+    let sum = server
+        .submit(LoopRequest::sum(sum_site, 0..1000, |i| i as f64))
+        .expect("sum accepted");
+    let visits: Arc<Vec<AtomicU64>> = Arc::new((0..300).map(|_| AtomicU64::new(0)).collect());
+    let for_each = {
+        let visits = Arc::clone(&visits);
+        server
+            .submit(LoopRequest::for_each(for_site, 0..300, move |i| {
+                visits[i].fetch_add(1, Ordering::Relaxed);
+            }))
+            .expect("for_each accepted")
+    };
+
+    // The gang cannot serve anything before the release, so only the waiting
+    // thread can have run the for_each.
+    assert_eq!(for_each.wait(), 0.0);
+    assert!(!gate.is_done(), "the gate is still closed");
+    assert!(
+        visits.iter().all(|v| v.load(Ordering::Relaxed) == 1),
+        "the helped for_each visited some index other than exactly once"
+    );
+    let stats = server.stats();
+    assert_eq!(
+        stats.helped, 1,
+        "the helper ran only the for_each: {stats:?}"
+    );
+    assert!(
+        !sum.is_done(),
+        "a sum is never helped: it waits for the gang"
+    );
+
+    release.store(true, Ordering::Release);
+    assert_eq!(sum.wait(), expected_sum(1000), "the sum ran on the gang");
+    gate.wait();
+    let stats = server.stats();
+    assert_eq!((stats.completed, stats.helped), (3, 1), "{stats:?}");
+}
+
+/// Set in the child process of [`a_panic_in_a_helped_body_aborts_the_process`].
+const PANIC_CHILD: &str = "SERVE_BATTERY_PANIC_CHILD";
+
+/// (e) A panic in a body the waiting thread helps with must abort, not unwind out
+/// of `wait`: the other requests of its batch would stay pending.  The test runs
+/// itself in a child process, which must die by `SIGABRT` with the serve layer's
+/// message.
+#[test]
+fn a_panic_in_a_helped_body_aborts_the_process() {
+    const NAME: &str = "a_panic_in_a_helped_body_aborts_the_process";
+    if std::env::var_os(PANIC_CHILD).is_some() {
+        let server = Server::on_executor(
+            ServeConfig::default().with_gang(GangSizing::Fixed(1)),
+            &executor(2),
+        );
+        let (entered, release) = (Arc::default(), Arc::new(AtomicBool::new(false)));
+        let _gate = server.submit(gate_request(LoopSite::new(1), &entered, &release));
+        while !entered.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
+        let failing = server
+            .submit(LoopRequest::for_each(LoopSite::new(2), 0..4, |_| {
+                panic!("served body failed")
+            }))
+            .expect("accepted");
+        failing.wait();
+        unreachable!("the helped body's panic must abort the process");
+    }
+    let out = std::process::Command::new(std::env::current_exe().expect("test binary"))
+        .args(["--exact", NAME, "--nocapture", "--test-threads=1"])
+        .env(PANIC_CHILD, "1")
+        .output()
+        .expect("child test process runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "the child survived: {stderr}");
+    #[cfg(unix)]
+    {
+        use std::os::unix::process::ExitStatusExt;
+        assert_eq!(out.status.signal(), Some(6), "SIGABRT expected: {stderr}");
+    }
+    assert!(
+        stderr.contains("parlo-serve: a served request body panicked on thread"),
+        "the abort names the serve layer: {stderr}"
+    );
+}
+
+#[test]
 fn full_queue_rejects_try_submit_without_losing_accepted_jobs() {
     let _guard = census_lock();
     let cores = pinned_threads();
@@ -208,17 +326,10 @@ fn full_queue_rejects_try_submit_without_losing_accepted_jobs() {
     );
     let site = LoopSite::new(0);
 
-    let release = Arc::new(AtomicBool::new(false));
-    let gate = {
-        let release = Arc::clone(&release);
-        server
-            .submit(LoopRequest::for_each(site, 0..1, move |_| {
-                while !release.load(Ordering::Acquire) {
-                    std::thread::yield_now();
-                }
-            }))
-            .expect("gate accepted")
-    };
+    let (entered, release) = (Arc::default(), Arc::new(AtomicBool::new(false)));
+    let gate = server
+        .submit(gate_request(site, &entered, &release))
+        .expect("gate accepted");
 
     // (c) With the gang stalled, keep pushing until admission control says full:
     // at most gate + capacity jobs fit, so the 4th push can never be accepted.
