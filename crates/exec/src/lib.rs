@@ -790,6 +790,27 @@ mod tests {
         Some(link.file_name()?.to_string_lossy().into_owned())
     }
 
+    /// Whether the thread with OS id `tid` still runs.  `JoinHandle::join` returns
+    /// once the thread's user code is done, and the kernel may list the exiting
+    /// task under `/proc/self/task` for a moment longer; such a task carries
+    /// `PF_EXITING` in its stat flags and does not count as running.
+    fn thread_runs(tid: &str) -> bool {
+        const PF_EXITING: u64 = 0x4;
+        let path = std::path::Path::new("/proc/self/task")
+            .join(tid)
+            .join("stat");
+        let Ok(stat) = std::fs::read_to_string(path) else {
+            return false;
+        };
+        // Fields after the parenthesised name: state, ppid, pgrp, session, tty,
+        // tpgid, flags.
+        let flags = stat
+            .rsplit_once(')')
+            .and_then(|(_, rest)| rest.split_whitespace().nth(6))
+            .and_then(|f| f.parse::<u64>().ok());
+        flags.is_none_or(|f| f & PF_EXITING == 0)
+    }
+
     #[test]
     fn dropping_the_last_handle_joins_the_workers() {
         // Count only this executor's own threads — sibling tests spawn and join
@@ -820,7 +841,7 @@ mod tests {
         }
         for tid in tids.iter() {
             assert!(
-                !std::path::Path::new("/proc/self/task").join(tid).exists(),
+                !thread_runs(tid),
                 "substrate thread {tid} leaked past executor drop"
             );
         }

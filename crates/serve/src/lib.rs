@@ -32,21 +32,26 @@
 //!   with [`Rejected::QueueFull`]; [`Server::submit`] applies backpressure by waiting
 //!   for room — a bounded spin, then yields, then a parked condvar wait (queued
 //!   submitters never busy-spin).
-//! * **Completion — help first**: [`JobHandle::wait`] on a served handle helps
-//!   until its own job is done.  It pops the next fused batch of queued `for`
-//!   requests (the drivers' round-robin pop) and serves it on the waiting thread,
-//!   through the same batch-serving function the drivers use, so the caller's CPU
-//!   works instead of idling.  Sums are never helped: they stay on the gangs, so a
-//!   sum's result bits do not depend on which thread ran it.  Only when no `for`
-//!   request is queued does the waiter fall back to a bounded spin → yield →
-//!   condvar park.  Wakes are skipped when nobody is parked.
+//! * **Completion — help first on pool-less gangs**: when the server's gangs have
+//!   one worker each (`gang_size` 1, no pool — the default on a 2-CPU host),
+//!   [`JobHandle::wait`] on a served handle helps until its own job is done.  It
+//!   pops the next fused batch of queued `for` requests (the drivers' round-robin
+//!   pop) and serves it on the waiting thread, through the same batch-serving
+//!   function the drivers use, so the caller's CPU does the driver's sequential
+//!   work instead of idling.  A gang with a pool runs a loop in parallel, so there
+//!   a waiter does not help: it would run the loop sequentially in the gang's
+//!   place.  Sums are never helped: they stay on the gangs, so a sum's result bits
+//!   do not depend on which thread ran it.  When it does not help, or no `for`
+//!   request is queued, the waiter falls back to a bounded spin → yield → condvar
+//!   park.  Wakes are skipped when nobody is parked.
 //! * **Small-loop batching**: consecutive queued `for`-loops are fused into one
 //!   half-barrier cycle — the driver concatenates their index spaces with a prefix
 //!   sum and runs a single `parallel_for`, so a backlog of micro-loops pays one
 //!   fork/join instead of one per loop.
 //! * **Fairness**: requests are keyed by [`LoopSite`]; the queue holds one FIFO per
 //!   site and the driver pops round-robin across sites, so a chatty tenant cannot
-//!   starve the others.
+//!   starve the others.  The FIFO fixes the dispatch order only (see the body
+//!   contract below).
 //!
 //! On a machine with no workers to lease (capacity 0) the server degenerates to
 //! inline execution on the submitting thread — same results, no threads.
@@ -55,6 +60,9 @@
 //!
 //! * A body must not block on something the waiting thread does only after its
 //!   `wait` returns: the waiting thread may be the one running that body.
+//! * Per-site FIFO covers the dispatch order only.  Two gangs, or a gang and a
+//!   helping waiter, may run requests of the same site at the same time, and a
+//!   later request may finish before an earlier one.
 //! * A panic in a served body aborts the process, whichever thread runs it (a gang
 //!   driver or a helping waiter), so no other tenant's handle in the same batch is
 //!   left pending.

@@ -1,12 +1,15 @@
 //! The bounded admission queue and the completion handle.
 //!
 //! One queue is shared by every gang driver of a [`crate::Server`].  It holds one
-//! FIFO per [`LoopSite`] and pops round-robin across the sites, so per-site order is
-//! preserved while no site can starve another.  Both waiting directions — a tenant
+//! FIFO per [`LoopSite`] and pops round-robin across the sites, so per-site dispatch
+//! order is preserved while no site can starve another.  Only the dispatch order:
+//! two gangs, or a gang and a helping waiter, may run same-site jobs at once, and a
+//! later one may finish first.  Both waiting directions — a tenant
 //! waiting for queue room and a tenant waiting on a completion — end in the same
 //! bounded-spin → yield → park discipline: short waits stay cheap, long waits cost
-//! no CPU.  A tenant waiting on a served completion first helps: it serves queued
-//! `for` batches itself until its own job is done or none is queued.  Every condvar
+//! no CPU.  On a server whose gangs have no pool (one worker each), a tenant waiting
+//! on a served completion first helps: it serves queued `for` batches itself until
+//! its own job is done or none is queued.  Every condvar
 //! keeps a count of its parked waiters under its mutex, and a wake nobody waits for
 //! is skipped.
 
@@ -51,8 +54,8 @@ pub(crate) struct Completion {
     result: Mutex<Option<f64>>,
     cv: Condvar,
     /// Waiters parked on `cv`.  Changed only under `result`'s lock, which orders it
-    /// against `complete`; atomic so [`Completer::parked_waiters`] can read it
-    /// without the lock.
+    /// against `complete`; atomic so the model battery's hook can read it without
+    /// the lock.
     parked: AtomicUsize,
 }
 
@@ -112,7 +115,8 @@ impl Completion {
 pub struct JobHandle {
     inner: Arc<Completion>,
     /// The server the job was queued on, which a waiter helps; `None` for a handle
-    /// that was complete on return from submit, or one from [`completion_pair`].
+    /// that was complete on return from submit, one whose server's gangs have a
+    /// pool, or one from [`completion_pair`].
     server: Option<Arc<Shared>>,
 }
 
@@ -129,18 +133,23 @@ impl JobHandle {
     /// Blocks until the loop completes and returns its result (`0.0` for a plain
     /// `for` loop, the reduction value for a sum).
     ///
-    /// The waiting thread helps first: while its own job is not done, it pops the
-    /// next fused batch of queued `for` requests (round-robin across sites, exactly
-    /// as a gang driver pops) and serves it itself, sequentially.  Sum requests are
-    /// never helped: they stay on the gangs, so a sum's bits do not depend on which
-    /// thread ran it.  Only when no `for` request is queued does the waiter spin,
-    /// then yield, then park, so a waiter behind a queue of sums costs no CPU.
+    /// On a server whose gangs have one worker each (no pool: `gang_size` 1, as
+    /// on a 2-CPU host), the waiting thread helps first: while its own job is not
+    /// done, it pops the next fused batch of queued `for` requests (round-robin
+    /// across sites, exactly as a gang driver pops) and serves it itself,
+    /// sequentially — the same work the gang's driver would do.  Where gangs have a
+    /// pool, a waiter never helps: a pooled gang runs the loop in parallel, which a
+    /// sequential helper would bypass.  Sum requests are never helped: they stay on
+    /// the gangs, so a sum's bits do not depend on which thread ran it.  When it
+    /// does not help, or no `for` request is queued, the waiter spins, then yields,
+    /// then parks, so a waiter behind a queue of sums costs no CPU.
     ///
     /// Because of this, a request body must not block on something the waiting
     /// thread does only after its `wait` returns: the waiter may be the thread that
-    /// runs that body.  A panic in a served body aborts the process, whichever
-    /// thread runs it, so no other tenant's handle in the same batch is left
-    /// pending.
+    /// runs that body.  A helper may also run a site's later request while a gang
+    /// still runs an earlier one, so same-site requests can overlap and finish out
+    /// of order.  A panic in a served body aborts the process, whichever thread
+    /// runs it, so no other tenant's handle in the same batch is left pending.
     pub fn wait(&self) -> f64 {
         if let Some(server) = &self.server {
             server.help_until_done(&self.inner);
@@ -171,7 +180,8 @@ impl Completer {
     }
 
     /// Waiters currently parked on the paired handle.  The model battery polls it
-    /// to complete only after a waiter has parked.
+    /// to complete only after a waiter has parked; it exists only in model builds.
+    #[cfg(parlo_model)]
     pub fn parked_waiters(&self) -> usize {
         // ordering: a count read without the lock; it publishes no data.
         self.inner.parked.load(Ordering::Relaxed)

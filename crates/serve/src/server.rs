@@ -119,8 +119,11 @@ pub struct LoopRequest {
 
 impl LoopRequest {
     /// A `parallel_for` request: `body(i)` is called exactly once per index of
-    /// `range`.  Requests sharing a [`LoopSite`] are served FIFO relative to each
-    /// other; distinct sites share the server round-robin.
+    /// `range`.  Requests sharing a [`LoopSite`] are dispatched FIFO relative to
+    /// each other; distinct sites share the server round-robin.  FIFO covers the
+    /// dispatch order only: two gangs, or a gang and a helping waiter (see
+    /// [`JobHandle::wait`]), may run same-site requests at the same time, and a
+    /// later one may finish first.
     pub fn for_each<F>(site: LoopSite, range: Range<usize>, body: F) -> LoopRequest
     where
         F: Fn(usize) + Send + Sync + 'static,
@@ -213,7 +216,8 @@ parlo_core::stats_family! {
         /// half-barrier cycle relative to serving it alone).
         pub fused: u64,
         /// Requests served by a tenant thread helping in [`JobHandle::wait`]
-        /// (counted in `completed` and, by batch, in `batches` too).
+        /// (counted in `completed` and, by batch, in `batches` too).  Always 0
+        /// unless `gang_size` is 1.
         pub helped: u64,
     }
 }
@@ -492,7 +496,12 @@ impl Server {
         match pushed {
             Ok(()) => {
                 shared.counters.submitted.fetch_add(1, Ordering::Relaxed);
-                Ok(JobHandle::new(done, Some(Arc::clone(shared))))
+                // Waiters help only where a gang has no pool: there a driver runs a
+                // batch sequentially too, so the waiter does exactly the driver's
+                // work.  A pooled gang would run the loop in parallel; a waiter
+                // popping it first would serve it sequentially instead.
+                let help = (self.gang_size == 1).then(|| Arc::clone(shared));
+                Ok(JobHandle::new(done, help))
             }
             Err(e) => {
                 shared.counters.rejected.fetch_add(1, Ordering::Relaxed);

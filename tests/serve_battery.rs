@@ -17,8 +17,9 @@
 //!   gang sizes on one long-lived executor; results stay exact and no activation or
 //!   worker leaks across the churn;
 //! * (e) **helping** — a tenant waiting on a `for` request serves queued `for`
-//!   loops itself while the only gang is stalled, and never runs a sum; a panic in a
-//!   body it helps with aborts the process with a message naming the serve layer.
+//!   loops itself while the only (pool-less) gang is stalled, and never runs a sum;
+//!   it never serves in place of a gang that has a pool; a panic in a body it helps
+//!   with aborts the process with a message naming the serve layer.
 //!
 //! The census is process-wide, so the tests serialize on a file-local mutex, exactly
 //! like the substrate battery.
@@ -207,10 +208,12 @@ fn queued_micro_loops_are_batched_through_one_barrier_cycle() {
 #[test]
 fn a_waiting_tenant_serves_queued_for_loops_but_never_sums() {
     let _guard = census_lock();
-    let cores = pinned_threads();
-    let executor = executor(cores);
+    // One pool-less gang: the only server shape whose waiters help.
+    let executor = executor(pinned_threads());
     let server = Server::on_executor(
-        ServeConfig::default().with_gang(GangSizing::Fixed(cores - 1)),
+        ServeConfig::default()
+            .with_workers(1)
+            .with_gang(GangSizing::Fixed(1)),
         &executor,
     );
     let (gate_site, sum_site, for_site) = (LoopSite::new(1), LoopSite::new(2), LoopSite::new(3));
@@ -262,6 +265,55 @@ fn a_waiting_tenant_serves_queued_for_loops_but_never_sums() {
     gate.wait();
     let stats = server.stats();
     assert_eq!((stats.completed, stats.helped), (3, 1), "{stats:?}");
+}
+
+/// (e) A gang with a pool runs a loop in parallel, so a waiter must not pop the loop
+/// and run it sequentially in the gang's place: behind a stalled pooled gang, a
+/// waited-on `for_each` stays pending until the gang is released.
+#[test]
+fn a_waiting_tenant_never_serves_in_place_of_a_pooled_gang() {
+    let _guard = census_lock();
+    // Capacity 2: one gang of a driver plus a 1-worker pool.
+    let executor = executor(3);
+    let server = Server::on_executor(
+        ServeConfig::default().with_gang(GangSizing::Fixed(2)),
+        &executor,
+    );
+    assert_eq!((server.stats().gangs, server.stats().gang_size), (1, 2));
+    let (entered, release) = (Arc::new(AtomicBool::new(false)), Arc::default());
+    let gate = server
+        .submit(gate_request(LoopSite::new(1), &entered, &release))
+        .expect("gate accepted");
+    while !entered.load(Ordering::Acquire) {
+        std::thread::yield_now();
+    }
+    let visits: Arc<Vec<AtomicU64>> = Arc::new((0..300).map(|_| AtomicU64::new(0)).collect());
+    let for_each = {
+        let visits = Arc::clone(&visits);
+        server
+            .submit(LoopRequest::for_each(LoopSite::new(2), 0..300, move |i| {
+                visits[i].fetch_add(1, Ordering::Relaxed);
+            }))
+            .expect("for_each accepted")
+    };
+    let waiter = {
+        let for_each = for_each.clone();
+        std::thread::spawn(move || for_each.wait())
+    };
+    // Give a (wrongly) helping waiter ample time to pop and run the for_each.  Read
+    // before the release, assert after it: a failed assert with the gate still
+    // closed would hang the server's drop.
+    std::thread::sleep(std::time::Duration::from_millis(50));
+    let done_early = for_each.is_done();
+    let helped_early = server.stats().helped;
+    release.store(true, Ordering::Release);
+    assert!(!done_early, "the waiter ran the pooled gang's loop");
+    assert_eq!(helped_early, 0);
+    assert_eq!(waiter.join().expect("waiter"), 0.0);
+    gate.wait();
+    assert!(visits.iter().all(|v| v.load(Ordering::Relaxed) == 1));
+    let stats = server.stats();
+    assert_eq!((stats.completed, stats.helped), (2, 0), "{stats:?}");
 }
 
 /// Set in the child process of [`a_panic_in_a_helped_body_aborts_the_process`].
